@@ -454,11 +454,17 @@ class ContinuityReport:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def vacuous(self) -> bool:
+        """No sampled pair survived the filters, so ``ok`` certifies nothing."""
+        return self.pairs_used == 0
+
     def to_json(self) -> dict:
         return {
             "patch": self.patch_id,
             "pairs_requested": self.pairs_requested,
             "pairs_used": self.pairs_used,
+            "vacuous": self.vacuous,
             "lipschitz_bound": self.lipschitz_bound,
             "max_ratio": self.max_ratio,
             "violations": len(self.violations),

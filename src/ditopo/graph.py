@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -71,6 +72,7 @@ class DirectedGraph:
             self._out[v].sort(key=lambda e: e.id)
             self._in[v].sort(key=lambda e: e.id)
         self._vertex_dist: Optional[dict] = None
+        self._gamma: Optional[GammaOracle] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -212,39 +214,59 @@ class GammaOracle:
     Cell-level reachability tables make the interior-point property hold by
     construction: whether an edge-interior point reaches a target outside
     its edge depends only on the edge, never on the parameter.
+
+    Construction: one iterative Tarjan pass condenses the graph into its
+    strongly connected components, emitted sinks first.  Vertices are
+    numbered in that order, so a vertex outranks every vertex it reaches
+    outside its own component.  Each component gets a Python-int bitset of
+    the vertices it reaches: its own bits ORed with its successors' sets.
+    Cost: O(V + E) for the condensation plus O(V^2 / 64) machine words for
+    the bitsets; ``reaches`` is then one bit test.
     """
 
     def __init__(self, graph: DirectedGraph):
         self.graph = graph
-        self._reach = {v: self._forward_closure(v) for v in graph.vertices}
-
-    def _forward_closure(self, source: str) -> frozenset:
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in self.graph.out_edges(u):
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    queue.append(e.dst)
-        return frozenset(seen)
+        self._sccs = _strong_components(graph)
+        self._order = [v for comp in self._sccs for v in comp]
+        self._mask = {v: 1 << i for i, v in enumerate(self._order)}
+        self._reach: dict = {}
+        cyclic = set()
+        start = 0
+        for comp in self._sccs:
+            bits = ((1 << len(comp)) - 1) << start
+            start += len(comp)
+            for v in comp:
+                for e in graph.out_edges(v):
+                    # a component's own vertices get their set below
+                    bits |= self._reach.get(e.dst, 0)
+                    if e.dst == v:
+                        cyclic.add(v)
+            for v in comp:
+                self._reach[v] = bits
+            if len(comp) > 1:
+                cyclic.update(comp)
+        self._cyclic = frozenset(cyclic)
 
     def reaches(self, u: str, v: str) -> bool:
-        return v in self._reach[u]
+        return self._reach[u] & self._mask.get(v, 0) != 0
+
+    def _descendants(self, u: str) -> list:
+        """Vertices u reaches, itself included, sinks first."""
+        text = bin(self._reach[u])[:1:-1]  # character i is bit i
+        return [self._order[m.start()] for m in re.finditer("1", text)]
 
     def membership(self, x: GraphPoint, y: GraphPoint) -> bool:
-        if not (self.graph.contains_point(x) and self.graph.contains_point(y)):
+        g = self.graph
+        if not (g.contains_point(x) and g.contains_point(y)):
             raise InvalidPoint(f"point outside graph: {x!r} or {y!r}")
-        if isinstance(x, Vertex) and isinstance(y, Vertex):
-            return self.reaches(x.vertex, y.vertex)
         if isinstance(x, Vertex):
-            return self.reaches(x.vertex, self.graph.edge(y.edge).src)
-        if isinstance(y, Vertex):
-            return self.reaches(self.graph.edge(x.edge).dst, y.vertex)
-        e, f = self.graph.edge(x.edge), self.graph.edge(y.edge)
-        if x.edge == y.edge and x.t <= y.t:
+            u = x.vertex
+        elif not isinstance(y, Vertex) and x.edge == y.edge and x.t <= y.t:
             return True
-        return self.reaches(e.dst, f.src)
+        else:
+            u = g._edge_map[x.edge].dst
+        v = y.vertex if isinstance(y, Vertex) else g._edge_map[y.edge].src
+        return self._reach[u] & self._mask[v] != 0
 
     # -- sampling-space protocol --------------------------------------------
 
@@ -274,15 +296,65 @@ class GammaOracle:
         return jitter(x), jitter(y)
 
 
+def _strong_components(g: DirectedGraph) -> list:
+    """Strongly connected components, each emitted after every component it
+    reaches (Tarjan's algorithm with an explicit stack, so deep graphs do not
+    exhaust the interpreter's recursion limit)."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    comps: list = []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g.out_edges(root)))]
+        while work:
+            v, edges = work[-1]
+            for e in edges:
+                w = e.dst
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g.out_edges(w))))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(comp))
+    return comps
+
+
 def gamma(g: DirectedGraph) -> GammaOracle:
-    """The reachability relation of a graph, as a decidable oracle."""
-    return GammaOracle(g)
+    """The reachability relation of a graph, as a decidable oracle.
+
+    Built once per graph (SCC condensation plus reachability bitsets:
+    O(V + E) time and O(V^2 / 64) words, see ``GammaOracle``) and memoised
+    on it, so every later query of the same graph shares that build.
+    """
+    if g._gamma is None:
+        g._gamma = GammaOracle(g)
+    return g._gamma
 
 
 def is_strongly_connected_dspace(g: DirectedGraph) -> bool:
     """True iff every ordered pair of points is joined by a directed path."""
-    oracle = gamma(g)
-    return all(oracle.reaches(u, v) for u in g.vertices for v in g.vertices)
+    return len(gamma(g)._sccs) <= 1
 
 
 def betti1(g: DirectedGraph) -> int:
@@ -318,7 +390,7 @@ class TraceClassSummary:
 
 
 def _on_cycle(oracle: GammaOracle, v: str) -> bool:
-    return any(oracle.reaches(e.dst, v) for e in oracle.graph.out_edges(v))
+    return v in oracle._cyclic
 
 
 def _route_anchors(x: GraphPoint, y: GraphPoint, g: DirectedGraph):
@@ -336,7 +408,13 @@ def _route_anchors(x: GraphPoint, y: GraphPoint, g: DirectedGraph):
 
 def traces_between(g: DirectedGraph, x: GraphPoint, y: GraphPoint,
                    cutoff: int = 16) -> TraceClassSummary:
-    """Enumerate trace classes from x to y as reduced edge-id sequences."""
+    """Enumerate trace classes from x to y as reduced edge-id sequences.
+
+    A finite count is exact (a path-count DP over the vertices that lie
+    between the route's anchors), and enumeration stops at ``cutoff``
+    classes either way, so a huge finite trace space costs no more to
+    summarise than its first representatives.
+    """
     oracle = gamma(g)
     if not oracle.membership(x, y):
         return TraceClassSummary(0, ())
@@ -346,42 +424,42 @@ def traces_between(g: DirectedGraph, x: GraphPoint, y: GraphPoint,
             classes.append(())
         elif x.t < y.t:
             classes.append((x.edge,))
+    count = len(classes)
 
     exit_v, prefix, entry_v, suffix = _route_anchors(x, y, g)
-    routed = oracle.reaches(exit_v, entry_v)
-    infinite = False
-    if routed:
-        relevant = frozenset(v for v in g.vertices
-                             if oracle.reaches(exit_v, v) and oracle.reaches(v, entry_v))
-        infinite = any(_on_cycle(oracle, v) for v in relevant)
+    if oracle.reaches(exit_v, entry_v):
+        # sinks first, so every vertex comes after its relevant successors
+        between = [v for v in oracle._descendants(exit_v) if oracle.reaches(v, entry_v)]
+        relevant = frozenset(between)
+        if relevant.isdisjoint(oracle._cyclic):
+            walks: dict = {}
+            for v in between:
+                walks[v] = (v == entry_v) + sum(
+                    walks[e.dst] for e in g.out_edges(v) if e.dst in relevant)
+            count += walks[exit_v]
+        else:
+            count = math.inf
         max_len = 2 * len(g.edges) + 2
         walk: list[str] = []
+        stack: list = []
 
-        def dfs(v: str) -> bool:
-            """Collect walks v -> entry; returns False once the cutoff hits."""
-            if len(classes) >= cutoff and infinite:
-                return False
+        def enter(v: str) -> None:
             if v == entry_v:
                 classes.append(prefix + tuple(walk) + suffix)
-                if len(classes) >= cutoff and infinite:
-                    return False
-            if len(walk) >= max_len:
-                return True
-            for e in g.out_edges(v):
-                if e.dst not in relevant:
-                    continue
-                walk.append(e.id)
-                alive = dfs(e.dst)
-                walk.pop()
-                if not alive:
-                    return False
-            return True
+            stack.append(iter(g.out_edges(v) if len(walk) < max_len else ()))
 
-        dfs(exit_v)
-    if infinite:
-        return TraceClassSummary(math.inf, tuple(dict.fromkeys(classes))[:cutoff])
-    unique = tuple(dict.fromkeys(classes))
-    return TraceClassSummary(len(unique), unique[:cutoff])
+        if len(classes) < cutoff:
+            enter(exit_v)
+        while stack and len(classes) < cutoff:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if walk:
+                    walk.pop()
+            elif e.dst in relevant:
+                walk.append(e.id)
+                enter(e.dst)
+    return TraceClassSummary(count, tuple(classes[:cutoff]))
 
 
 def path_from_class(g: DirectedGraph, x: GraphPoint, y: GraphPoint,
@@ -415,32 +493,24 @@ _COUNT_CAP = 8
 
 
 def _path_counts(g: DirectedGraph, oracle: GammaOracle) -> dict:
-    """Saturating counts of directed edge-paths between vertices (DAG only)."""
-    order: list[str] = []
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    queue = deque(v for v in g.vertices if indeg[v] == 0)
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for e in g.out_edges(u):
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                queue.append(e.dst)
+    """Saturating counts of directed edge-paths between vertices (DAG only).
+
+    Each source runs over the targets it reaches, read off its bitset;
+    sources come sinks first, so successors' counts are already known.
+    """
     counts: dict = {}
-    for target in g.vertices:
-        for u in reversed(order):
-            if not oracle.reaches(u, target):
-                continue
-            total = 1 if u == target else 0
+    for u in oracle._order:
+        for t in oracle._descendants(u):
+            total = 1 if u == t else 0
             for e in g.out_edges(u):
-                total += counts.get((e.dst, target), 0)
-            counts[(u, target)] = min(total, _COUNT_CAP)
+                total += counts.get((e.dst, t), 0)
+            counts[(u, t)] = min(total, _COUNT_CAP)
     return counts
 
 
 def _tier_info(g: DirectedGraph, oracle: GammaOracle) -> _TierInfo:
-    acyclic = not any(_on_cycle(oracle, v) for v in g.vertices)
-    strongly = all(oracle.reaches(u, v) for u in g.vertices for v in g.vertices)
+    acyclic = not oracle._cyclic
+    strongly = len(oracle._sccs) <= 1
     counts = _path_counts(g, oracle) if acyclic else {}
     multi = sorted((u, v) for (u, v), c in counts.items() if c >= 2)
     interior_unique = acyclic and all(
@@ -457,7 +527,7 @@ def _unique_section(g: DirectedGraph):
     return section
 
 
-def _lex_shortest_paths(g: DirectedGraph, oracle: GammaOracle, source: str) -> dict:
+def _lex_shortest_paths(g: DirectedGraph, source: str) -> dict:
     """Lexicographically least shortest edge sequence to each reachable vertex."""
     best = {source: ()}
     frontier = [source]
@@ -476,17 +546,23 @@ def _lex_shortest_paths(g: DirectedGraph, oracle: GammaOracle, source: str) -> d
 
 
 class _FixedVertexPaths:
-    """A fixed directed path for every reachable ordered vertex pair."""
+    """A fixed directed path for every reachable ordered vertex pair.
 
-    def __init__(self, g: DirectedGraph, oracle: GammaOracle):
+    Each source's paths are computed on its first query.
+    """
+
+    def __init__(self, g: DirectedGraph):
         self.g = g
-        self._seq = {u: _lex_shortest_paths(g, oracle, u) for u in g.vertices}
+        self._seq: dict = {}
 
     def sequence(self, u: str, v: str) -> tuple:
-        return self._seq[u][v]
+        paths = self._seq.get(u)
+        if paths is None:
+            paths = self._seq[u] = _lex_shortest_paths(self.g, u)
+        return paths[v]
 
     def path(self, u: str, v: str) -> DiPath:
-        return path_from_class(self.g, Vertex(u), Vertex(v), self._seq[u][v])
+        return path_from_class(self.g, Vertex(u), Vertex(v), self.sequence(u, v))
 
 
 def _run_to_end(g: DirectedGraph, p: EdgeInterior) -> DiPath:
@@ -499,7 +575,7 @@ def _run_from_start(g: DirectedGraph, p: EdgeInterior) -> DiPath:
 
 def _three_patch_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
     """The general construction: vertex pairs, mixed pairs, interior pairs."""
-    fixed = _FixedVertexPaths(g, oracle)
+    fixed = _FixedVertexPaths(g)
 
     def member_vv(x, y):
         return isinstance(x, Vertex) and isinstance(y, Vertex) and oracle.membership(x, y)
@@ -610,7 +686,7 @@ def _unique_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
 
 
 def _conflict_planner(g: DirectedGraph, oracle: GammaOracle, multi_pairs) -> Patchwork:
-    fixed = _FixedVertexPaths(g, oracle)
+    fixed = _FixedVertexPaths(g)
     conflicts = frozenset(multi_pairs)
 
     def member_conflict(x, y):

@@ -209,13 +209,32 @@ def terminal_diagram(rank: int = 1) -> NatDiagram:
     return NatDiagram([obj], [NatMorphism("pt", "pt", (), (), identity)])
 
 
+def _det(rows) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss
+    elimination over Python ints: every division is exact)."""
+    a = [[int(v) for v in row] for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def _is_unit(matrix: np.ndarray) -> bool:
     if matrix.shape[0] != matrix.shape[1]:
         return False
     if matrix.size == 0:
         return True
-    det = round(float(np.linalg.det(matrix)))
-    return det in (1, -1)
+    return _det(matrix.tolist()) in (1, -1)
 
 
 def is_bisimilar_to_point(diagram: NatDiagram) -> tuple[bool, dict]:

@@ -119,6 +119,106 @@ def all_small_graphs(max_cells: int = 5):
 
 
 # ---------------------------------------------------------------------------
+# Independent oracle 1b: vertex reachability by one BFS per source
+# ---------------------------------------------------------------------------
+
+class BfsClosure:
+    """Forward closure of each vertex by breadth-first search, computed on
+    first use; the per-vertex construction the library's reachability
+    oracle once used, kept here to check the condensation that replaced it.
+    Tier facts are read off pairwise sweeps, as they once were."""
+
+    def __init__(self, g: DirectedGraph):
+        self.g = g
+        self._reach: dict = {}
+
+    def closure(self, source: str) -> frozenset:
+        if source not in self._reach:
+            seen = {source}
+            queue = deque([source])
+            while queue:
+                u = queue.popleft()
+                for e in self.g.out_edges(u):
+                    if e.dst not in seen:
+                        seen.add(e.dst)
+                        queue.append(e.dst)
+            self._reach[source] = frozenset(seen)
+        return self._reach[source]
+
+    def reaches(self, u: str, v: str) -> bool:
+        return v in self.closure(u)
+
+    def on_cycle(self, v: str) -> bool:
+        return any(self.reaches(e.dst, v) for e in self.g.out_edges(v))
+
+    def strongly_connected(self) -> bool:
+        vs = self.g.vertices
+        return all(self.reaches(u, v) for u in vs for v in vs)
+
+    def path_counts(self, cap: int) -> dict:
+        """Saturating edge-path counts per reachable pair (DAG only), by
+        Kahn's topological order and a sweep over every vertex per target."""
+        g = self.g
+        order = []
+        indeg = {v: len(g.in_edges(v)) for v in g.vertices}
+        queue = deque(v for v in g.vertices if indeg[v] == 0)
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for e in g.out_edges(u):
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    queue.append(e.dst)
+        counts: dict = {}
+        for target in g.vertices:
+            for u in reversed(order):
+                if not self.reaches(u, target):
+                    continue
+                total = 1 if u == target else 0
+                for e in g.out_edges(u):
+                    total += counts.get((e.dst, target), 0)
+                counts[(u, target)] = min(total, cap)
+        return counts
+
+
+def random_scc_multigraph(rng: random.Random, nv: int, ne: int) -> DirectedGraph:
+    """Vertices split into random blocks; each block gets a directed cycle
+    (so it is one strongly connected component) unless it is a singleton,
+    then random edges run forward between blocks, with loops, parallel
+    edges and a few backward edges that merge components."""
+    vertices = [f"v{i}" for i in range(nv)]
+    rng.shuffle(vertices)
+    blocks, i = [], 0
+    while i < nv:
+        size = min(nv - i, rng.choice((1, 1, 1, 2, 3, 5)))
+        blocks.append(vertices[i:i + size])
+        i += size
+    block_of = {v: b for b, block in enumerate(blocks) for v in block}
+    edges = []
+
+    def add(a, b):
+        edges.append((f"e{len(edges)}", a, b))
+
+    for block in blocks:
+        if len(block) > 1:
+            for a, b in zip(block, block[1:] + block[:1]):
+                add(a, b)
+    while len(edges) < ne:
+        roll = rng.random()
+        a, b = rng.choice(vertices), rng.choice(vertices)
+        if roll < 0.05:
+            add(a, a)
+        elif roll < 0.12 and edges:
+            _, src, dst = rng.choice(edges)
+            add(src, dst)
+        elif roll < 0.14 or block_of[a] < block_of[b]:
+            add(a, b)
+        elif block_of[b] < block_of[a]:
+            add(b, a)
+    return DirectedGraph(sorted(vertices, key=lambda v: int(v[1:])), edges)
+
+
+# ---------------------------------------------------------------------------
 # Independent oracle 2: PV reachability by stepping program actions
 # ---------------------------------------------------------------------------
 

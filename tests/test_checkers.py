@@ -19,11 +19,13 @@ from ditopo.core import (
 )
 from ditopo.errors import NoGlobalSection, OutOfRange, PatchNotFound
 from ditopo.graph import (
+    build_planner,
     directed_interval,
     directed_loop,
     gamma,
     interval_planner,
     loop_planner,
+    parallel_edges,
 )
 
 
@@ -102,6 +104,18 @@ class TestCheckContinuity:
                                         perturbation=0.01, seed=2)
         assert report.violations
         assert report.max_ratio > 2.0 + 1e-6
+
+    def test_vacuous_certificate_is_flagged(self):
+        # the conflicts patch holds only the vertex pair (b, e), which the
+        # pair sampler practically never draws, so no pair gets checked
+        planner = build_planner(parallel_edges(3))
+        report = check_patch_continuity(planner, "conflicts", pair_samples=60, seed=0)
+        assert report.pairs_used == 0
+        assert report.ok and report.vacuous
+        assert report.to_json()["vacuous"] is True
+        used = check_patch_continuity(planner, "rest", pair_samples=60, seed=0)
+        assert used.pairs_used > 0 and not used.vacuous
+        assert used.to_json()["vacuous"] is False
 
     def test_unknown_patch(self):
         planner = interval_planner()

@@ -1,5 +1,8 @@
 """Trace diagrams, functoriality, and bisimulation checks."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from ditopo.graph import (
     ditc,
 )
 from ditopo.nathom import (
+    _det,
+    _is_unit,
     check_bisimulation,
     factorization_diagram,
     h_n,
@@ -157,6 +162,40 @@ class TestBisimulationChecker:
             check_bisimulation(
                 d, terminal_diagram(),
                 [(o.id, [[1]] * o.rank, "pt") for o in d.objects])
+
+
+def _leibniz_det(m) -> int:
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+class TestExactDeterminant:
+    def test_matches_the_permutation_expansion(self):
+        rng = random.Random(11)
+        for n in range(1, 6):
+            for _ in range(60):
+                m = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                     for _ in range(n)]
+                assert _det(m) == _leibniz_det(m), m
+
+    def test_large_entry_unimodular_matrix(self):
+        m = [[10 ** 9 + 1, 10 ** 9], [10 ** 9, 10 ** 9 - 1]]
+        assert _det(m) == -1
+        assert _is_unit(np.array(m, dtype=int))
+        assert not _is_unit(np.array([[2, 0], [0, 1]], dtype=int))
+
+    def test_bisimulation_accepts_it_on_a_rank_two_object(self):
+        d = circle_diagram()
+        eta = [[10 ** 9 + 1, 10 ** 9], [10 ** 9, 10 ** 9 - 1]]
+        assert d.object("v:b>v:e:top").rank == 2
+        assert check_bisimulation(d, d, [("v:b>v:e:top", eta, "v:b>v:e:top")])
 
 
 class TestConsistencyWithComplexity:
