@@ -20,7 +20,6 @@ from .core import (
     check_section,
     concatenate,
     contraction_homotopy,
-    evaluate,
     format_point,
     parse_point,
     points_equal,

@@ -9,16 +9,21 @@ sampling.
 
 Planners for other spaces (products, sphere boundaries) plug into the same
 testers by providing path objects with ``start``/``end``/``evaluate``/
-``validate`` and an oracle with ``membership``/``sample_point``/
-``distance``/``perturb_pair``.
+``evaluate_many``/``validate`` and an oracle with ``membership``/
+``sample_point``/``distance``/``perturb_pair``.  ``evaluate_many`` takes
+fractions in ascending order and returns the points ``evaluate`` would,
+in one walk along the path; ``span_table`` and ``locate`` below are the
+shared walk.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -99,6 +104,50 @@ def parse_point(text: str) -> GraphPoint:
 # Directed paths
 # ---------------------------------------------------------------------------
 
+def span_table(spans: Iterable[float]) -> list[float]:
+    """Cumulative spans ``[0, s0, s0 + s1, ...]``, added left to right.
+
+    The last entry is the total.  Entries never decrease when no span is
+    negative, as on every valid path.
+    """
+    return list(accumulate(spans, initial=0.0))
+
+
+def locate(table: list[float], fractions: Iterable[float]) -> list[tuple[int, float]]:
+    """(segment index, offset into it) at each fraction of a span table's total.
+
+    ``fractions`` must ascend inside [0, 1].  Segment i is the first whose
+    end ``table[i + 1]`` is at or beyond the target, else the last one; the
+    offset ``target - table[i]`` is left unclamped.  The walk never moves
+    backwards: each fraction is a bisection from the previous segment on,
+    O(log segments), so a walk costs O(fractions * log segments).
+    """
+    total = table[-1]
+    segments = len(table) - 1
+    out = []
+    i, prev = 0, 0.0
+    for s in fractions:
+        if s < prev:
+            raise ValueError(f"fractions must ascend; {s} follows {prev}")
+        prev = s
+        target = s * total
+        i = bisect_left(table, target, i + 1, segments) - 1
+        out.append((i, target - table[i]))
+    return out
+
+
+def _path_fractions(fractions: Iterable[float]) -> list[float]:
+    """The fractions clamped to [0, 1]; OutOfRange if one is off by more
+    than PARAM_TOL."""
+    fractions = list(fractions)
+    if fractions and not (0.0 <= min(fractions) and max(fractions) <= 1.0):
+        for s in fractions:
+            if not (-PARAM_TOL <= s <= 1.0 + PARAM_TOL):
+                raise OutOfRange(f"path parameter {s} outside [0,1]")
+        fractions = [min(max(s, 0.0), 1.0) for s in fractions]
+    return fractions
+
+
 @dataclass(frozen=True)
 class Step:
     """One forward traversal of (part of) an edge."""
@@ -118,15 +167,18 @@ class DiPath:
     ``graph`` must provide ``edge(id)`` returning an object with ``src``/
     ``dst`` and ``point_at(edge_id, t)`` mapping boundary parameters to
     vertices.  A path with no steps is constant and carries its point in
-    ``basepoint``.
+    ``basepoint``.  The cumulative-span table is built on the first
+    evaluation, length or subpath, so paths that are only checked at their
+    ends never pay for it.
     """
 
-    __slots__ = ("graph", "steps", "basepoint")
+    __slots__ = ("graph", "steps", "basepoint", "_cum")
 
     def __init__(self, graph, steps: Iterable[Step] = (), basepoint: Optional[GraphPoint] = None):
         self.graph = graph
         self.steps = tuple(steps)
         self.basepoint = basepoint
+        self._cum: Optional[list[float]] = None
         if not self.steps and basepoint is None:
             raise InvalidPath("a path needs steps or a basepoint")
         if self.steps and basepoint is not None:
@@ -172,42 +224,53 @@ class DiPath:
         s = self.steps[-1]
         return self.graph.point_at(s.edge, s.t_to)
 
+    def _spans(self) -> list[float]:
+        """The cumulative-span table, built on first use: O(steps)."""
+        if self._cum is None:
+            self._cum = span_table(st.span for st in self.steps)
+        return self._cum
+
     def length(self) -> float:
-        """Total parameter span (unit edge length)."""
-        return sum(s.span for s in self.steps)
+        """Total parameter span (unit edge length): the table's last entry,
+        O(steps) on first use and O(1) after."""
+        return self._spans()[-1]
 
     def evaluate(self, s: float) -> GraphPoint:
-        if not (-PARAM_TOL <= s <= 1.0 + PARAM_TOL):
-            raise OutOfRange(f"path parameter {s} outside [0,1]")
-        s = min(max(s, 0.0), 1.0)
-        total = self.length()
-        if total <= 0.0:
-            return self.start()
-        target = s * total
-        acc = 0.0
-        for st in self.steps:
-            if target <= acc + st.span or st is self.steps[-1]:
-                if st.span <= 0.0:
-                    t = st.t_from
-                else:
-                    t = st.t_from + min(max(target - acc, 0.0), st.span)
-                return self.graph.point_at(st.edge, t)
-            acc += st.span
-        return self.end()
+        """The point at fraction s of the total span, at constant speed.
+
+        O(steps) once for the table, then O(log steps) per point.
+        """
+        return self.evaluate_many((s,))[0]
+
+    def evaluate_many(self, fractions: Iterable[float]) -> list[GraphPoint]:
+        """``evaluate`` at each of the ascending fractions, in one walk.
+
+        O(steps) once for the table, then O(log steps) per fraction.
+        """
+        fractions = _path_fractions(fractions)
+        table = self._spans()
+        if table[-1] <= 0.0:
+            return [self.start()] * len(fractions)
+        steps, point_at = self.steps, self.graph.point_at
+        points = []
+        for i, offset in locate(table, fractions):
+            st = steps[i]
+            span = st.span
+            t = st.t_from if span <= 0.0 else st.t_from + min(max(offset, 0.0), span)
+            points.append(point_at(st.edge, t))
+        return points
 
     def subpath(self, s0: float, s1: float) -> "DiPath":
         """The portion between fractions s0 <= s1 of the total span."""
         if not (0.0 <= s0 <= s1 <= 1.0 + PARAM_TOL):
             raise OutOfRange(f"subpath fractions ({s0}, {s1}) outside 0 <= s0 <= s1 <= 1")
-        total = self.length()
+        table = self._spans()
+        total = table[-1]
         if total <= 0.0 or abs(s1 - s0) <= PARAM_TOL:
             return DiPath.constant(self.graph, self.evaluate(s0))
         lo, hi = s0 * total, s1 * total
         out: list[Step] = []
-        acc = 0.0
-        for st in self.steps:
-            a, b = acc, acc + st.span
-            acc = b
+        for st, a, b in zip(self.steps, table, table[1:]):
             if b <= lo or a >= hi:
                 continue
             t_from = st.t_from + max(lo - a, 0.0)
@@ -261,19 +324,15 @@ def concatenate(p: DiPath, q: DiPath) -> DiPath:
     return DiPath(p.graph, steps + rest)
 
 
-def evaluate(p: DiPath, s: float) -> GraphPoint:
-    """Position at fraction s of total parameter length."""
-    return p.evaluate(s)
-
-
 def path_sup_distance(p, q, distance: Callable, samples: int = 64) -> float:
-    """Max over sample fractions of the point distance between two paths."""
+    """Max over evenly spaced sample fractions of the point distance between
+    two paths; each path is walked once over all the fractions."""
     if samples < 2:
         raise ValueError("need at least 2 sample fractions")
+    fractions = [i / (samples - 1) for i in range(samples)]
     worst = 0.0
-    for i in range(samples):
-        s = i / (samples - 1)
-        worst = max(worst, distance(p.evaluate(s), q.evaluate(s)))
+    for a, b in zip(p.evaluate_many(fractions), q.evaluate_many(fractions)):
+        worst = max(worst, distance(a, b))
     return worst
 
 

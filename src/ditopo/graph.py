@@ -71,7 +71,7 @@ class DirectedGraph:
         for v in self.vertices:
             self._out[v].sort(key=lambda e: e.id)
             self._in[v].sort(key=lambda e: e.id)
-        self._vertex_dist: Optional[dict] = None
+        self._vertex_dist: dict = {}
         self._gamma: Optional[GammaOracle] = None
 
     # -- structure ---------------------------------------------------------
@@ -105,6 +105,10 @@ class DirectedGraph:
     # -- undirected metric ---------------------------------------------------
 
     def _distances_from(self, source: str) -> dict:
+        """Hop counts from ``source`` by undirected BFS, computed on first use."""
+        dist = self._vertex_dist.get(source)
+        if dist is not None:
+            return dist
         dist = {source: 0}
         queue = deque([source])
         while queue:
@@ -114,31 +118,38 @@ class DirectedGraph:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
+        self._vertex_dist[source] = dist
         return dist
 
     def vertex_distance(self, u: str, v: str) -> float:
-        if self._vertex_dist is None:
-            self._vertex_dist = {s: self._distances_from(s) for s in self.vertices}
-        return self._vertex_dist[u].get(v, math.inf)
+        return self._distances_from(u).get(v, math.inf)
 
     def distance(self, a: GraphPoint, b: GraphPoint) -> float:
-        """Shortest undirected path length with unit edge lengths."""
-        if isinstance(a, Vertex) and isinstance(b, Vertex):
-            return self.vertex_distance(a.vertex, b.vertex)
+        """Shortest undirected path length with unit edge lengths.
+
+        Reads the BFS table of ``a``'s vertex, or of both ends of ``a``'s
+        edge; each table is computed once per graph.
+        """
+        inf = math.inf
         if isinstance(a, Vertex):
+            if isinstance(b, Vertex):
+                return self._distances_from(a.vertex).get(b.vertex, inf)
             f = self.edge(b.edge)
-            return min(self.vertex_distance(a.vertex, f.src) + b.t,
-                       self.vertex_distance(a.vertex, f.dst) + 1.0 - b.t)
+            da = self._distances_from(a.vertex)
+            return min(da.get(f.src, inf) + b.t, da.get(f.dst, inf) + 1.0 - b.t)
+        e = self.edge(a.edge)
+        from_src, from_dst = self._distances_from(e.src), self._distances_from(e.dst)
         if isinstance(b, Vertex):
-            e = self.edge(a.edge)
-            return min(a.t + self.vertex_distance(e.src, b.vertex),
-                       1.0 - a.t + self.vertex_distance(e.dst, b.vertex))
-        e, f = self.edge(a.edge), self.edge(b.edge)
-        best = abs(a.t - b.t) if a.edge == b.edge else math.inf
-        for da, u in ((a.t, e.src), (1.0 - a.t, e.dst)):
-            for db, w in ((b.t, f.src), (1.0 - b.t, f.dst)):
-                best = min(best, da + self.vertex_distance(u, w) + db)
-        return best
+            return min(a.t + from_src.get(b.vertex, inf),
+                       1.0 - a.t + from_dst.get(b.vertex, inf))
+        f = self.edge(b.edge)
+        at, bt = a.t, b.t
+        ta, tb = 1.0 - at, 1.0 - bt
+        return min(abs(at - bt) if a.edge == b.edge else inf,
+                   at + from_src.get(f.src, inf) + bt,
+                   at + from_src.get(f.dst, inf) + tb,
+                   ta + from_dst.get(f.src, inf) + bt,
+                   ta + from_dst.get(f.dst, inf) + tb)
 
     # -- connectivity --------------------------------------------------------
 

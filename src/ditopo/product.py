@@ -40,6 +40,11 @@ class ProductPath:
     def evaluate(self, s: float):
         return tuple(p.evaluate(s) for p in self.components)
 
+    def evaluate_many(self, fractions):
+        """``evaluate`` at each ascending fraction: one walk per component."""
+        fractions = list(fractions)
+        return list(zip(*(p.evaluate_many(fractions) for p in self.components)))
+
     def validate(self):
         for p in self.components:
             p.validate()

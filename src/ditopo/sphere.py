@@ -18,7 +18,7 @@ import random
 from collections import deque
 from typing import Sequence
 
-from .core import DiTCReport, Patch, Patchwork, Reason
+from .core import DiTCReport, Patch, Patchwork, Reason, locate, span_table
 from .errors import DimensionMismatch, InvalidPoint, Unreachable
 
 QUANT = 16          # fixed input quantization denominator
@@ -149,10 +149,15 @@ def _point_on_upper(c: float) -> tuple:
 
 
 class SpherePath:
-    """A monotone polyline on the square boundary, constant speed in L1."""
+    """A monotone polyline on the square boundary, constant speed in L1.
+
+    The waypoints are fixed once the path is built: the segment lengths and
+    their cumulative-span table are computed on the first evaluation.
+    """
 
     def __init__(self, points: Sequence[tuple]):
         self.points = [tuple(map(float, p)) for p in points]
+        self._segments = None
 
     def start(self):
         return self.points[0]
@@ -160,23 +165,36 @@ class SpherePath:
     def end(self):
         return self.points[-1]
 
-    def _lengths(self):
-        return [sum(abs(c - d) for c, d in zip(p, q))
-                for p, q in zip(self.points, self.points[1:])]
+    def _spans(self):
+        """(segment L1 lengths, their cumulative-span table): O(points) once."""
+        if self._segments is None:
+            lengths = [sum(abs(c - d) for c, d in zip(p, q))
+                       for p, q in zip(self.points, self.points[1:])]
+            self._segments = lengths, span_table(lengths)
+        return self._segments
 
     def evaluate(self, s: float):
-        lengths = self._lengths()
-        total = sum(lengths)
-        if total <= 0.0:
-            return self.points[0]
-        target = min(max(s, 0.0), 1.0) * total
-        acc = 0.0
-        for (p, q), seg in zip(zip(self.points, self.points[1:]), lengths):
-            if target <= acc + seg or (p, q) == (self.points[-2], self.points[-1]):
-                f = 0.0 if seg <= 0.0 else min(max(target - acc, 0.0), seg) / seg
-                return tuple(c + f * (d - c) for c, d in zip(p, q))
-            acc += seg
-        return self.points[-1]
+        """The point at fraction s (clamped to [0, 1]) of the total length.
+
+        O(points) once for the table, then O(log points) per point.
+        """
+        return self.evaluate_many((s,))[0]
+
+    def evaluate_many(self, fractions):
+        """``evaluate`` at each of the ascending fractions, in one walk.
+
+        O(points) once for the table, then O(log points) per fraction.
+        """
+        fractions = [min(max(s, 0.0), 1.0) for s in fractions]
+        lengths, table = self._spans()
+        if table[-1] <= 0.0:
+            return [self.points[0]] * len(fractions)
+        out = []
+        for i, offset in locate(table, fractions):
+            p, q, seg = self.points[i], self.points[i + 1], lengths[i]
+            f = 0.0 if seg <= 0.0 else min(max(offset, 0.0), seg) / seg
+            out.append(tuple(c + f * (d - c) for c, d in zip(p, q)))
+        return out
 
     def validate(self):
         for p in self.points:

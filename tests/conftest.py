@@ -6,13 +6,17 @@ automata) so they can certify the library's answers rather than echo them.
 """
 
 import itertools
+import math
 import random
 from collections import deque
 
 import pytest
 
-from ditopo.core import EdgeInterior, Vertex
+from ditopo.core import PARAM_TOL, DiPath, EdgeInterior, Step, Vertex
+from ditopo.errors import OutOfRange
 from ditopo.graph import DirectedGraph
+from ditopo.product import ProductPath
+from ditopo.sphere import SpherePath
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 100
@@ -216,6 +220,146 @@ def random_scc_multigraph(rng: random.Random, nv: int, ne: int) -> DirectedGraph
         elif block_of[b] < block_of[a]:
             add(b, a)
     return DirectedGraph(sorted(vertices, key=lambda v: int(v[1:])), edges)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle 1c: the undirected metric on subdivided edges
+# ---------------------------------------------------------------------------
+
+class SubdividedMetric:
+    """Each edge becomes a chain of `subdivisions` undirected links; the
+    distance between grid-aligned points is the BFS hop count over the
+    chain nodes divided by `subdivisions` (exact for powers of two)."""
+
+    def __init__(self, g: DirectedGraph, subdivisions: int = 32):
+        self.s = subdivisions
+        self.adj: dict = {("v", v): [] for v in g.vertices}
+        for e in g.edges:
+            chain = [("v", e.src)] + [("e", e.id, k) for k in range(1, self.s)] + [("v", e.dst)]
+            for a, b in zip(chain, chain[1:]):
+                self.adj.setdefault(a, []).append(b)
+                self.adj.setdefault(b, []).append(a)
+        self._hops: dict = {}
+
+    def _node(self, p):
+        if isinstance(p, Vertex):
+            return ("v", p.vertex)
+        k = round(p.t * self.s)
+        assert 0 < k < self.s and k == p.t * self.s, "pick grid-aligned interior parameters"
+        return ("e", p.edge, k)
+
+    def distance(self, x, y) -> float:
+        a, b = self._node(x), self._node(y)
+        if a not in self._hops:
+            hops = {a: 0}
+            queue = deque([a])
+            while queue:
+                cur = queue.popleft()
+                for nxt in self.adj[cur]:
+                    if nxt not in hops:
+                        hops[nxt] = hops[cur] + 1
+                        queue.append(nxt)
+            self._hops[a] = hops
+        hops = self._hops[a].get(b)
+        return math.inf if hops is None else hops / self.s
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle 1d: path evaluation by a linear scan of the steps
+# ---------------------------------------------------------------------------
+#
+# The per-call scans the library's paths once ran for every point, kept to
+# check the cumulative-span walk that replaced them.  Spans are added left
+# to right in a plain loop, as the walk's table is.  One deliberate change:
+# the last step is recognised by its index, where the library compared the
+# step object by identity and so stopped early on a path that repeats a
+# step object (``concatenate(a, a)``).
+
+def scan_length(path: DiPath) -> float:
+    total = 0.0
+    for st in path.steps:
+        total += st.span
+    return total
+
+
+def _scan_dipath(path: DiPath, s: float):
+    if not (-PARAM_TOL <= s <= 1.0 + PARAM_TOL):
+        raise OutOfRange(f"path parameter {s} outside [0,1]")
+    s = min(max(s, 0.0), 1.0)
+    total = scan_length(path)
+    if total <= 0.0:
+        return path.start()
+    target = s * total
+    acc = 0.0
+    last = len(path.steps) - 1
+    for i, st in enumerate(path.steps):
+        if target <= acc + st.span or i == last:
+            if st.span <= 0.0:
+                t = st.t_from
+            else:
+                t = st.t_from + min(max(target - acc, 0.0), st.span)
+            return path.graph.point_at(st.edge, t)
+        acc += st.span
+
+
+def _scan_sphere(path: SpherePath, s: float):
+    pts = path.points
+    lengths = [sum(abs(c - d) for c, d in zip(p, q)) for p, q in zip(pts, pts[1:])]
+    total = 0.0
+    for seg in lengths:
+        total += seg
+    if total <= 0.0:
+        return pts[0]
+    target = min(max(s, 0.0), 1.0) * total
+    acc = 0.0
+    for i, seg in enumerate(lengths):
+        if target <= acc + seg or i == len(lengths) - 1:
+            f = 0.0 if seg <= 0.0 else min(max(target - acc, 0.0), seg) / seg
+            return tuple(c + f * (d - c) for c, d in zip(pts[i], pts[i + 1]))
+        acc += seg
+
+
+def scan_evaluate(path, s: float):
+    """The point at fraction s of a DiPath, SpherePath or ProductPath."""
+    if isinstance(path, DiPath):
+        return _scan_dipath(path, s)
+    if isinstance(path, SpherePath):
+        return _scan_sphere(path, s)
+    if isinstance(path, ProductPath):
+        return tuple(scan_evaluate(c, s) for c in path.components)
+    raise TypeError(f"no scan for {type(path).__name__}")
+
+
+def scan_subpath(path: DiPath, s0: float, s1: float) -> DiPath:
+    if not (0.0 <= s0 <= s1 <= 1.0 + PARAM_TOL):
+        raise OutOfRange(f"subpath fractions ({s0}, {s1}) outside 0 <= s0 <= s1 <= 1")
+    total = scan_length(path)
+    if total <= 0.0 or abs(s1 - s0) <= PARAM_TOL:
+        return DiPath.constant(path.graph, _scan_dipath(path, s0))
+    lo, hi = s0 * total, s1 * total
+    out = []
+    acc = 0.0
+    for st in path.steps:
+        a, b = acc, acc + st.span
+        acc = b
+        if b <= lo or a >= hi:
+            continue
+        t_from = st.t_from + max(lo - a, 0.0)
+        t_to = st.t_from + min(hi - a, st.span)
+        if t_to > t_from:
+            out.append(Step(st.edge, t_from, t_to))
+    if not out:
+        return DiPath.constant(path.graph, _scan_dipath(path, s0))
+    return DiPath(path.graph, out)
+
+
+def scan_sup_distance(p, q, distance, samples: int = 64) -> float:
+    """Max of the point distance over the sample fractions, one scan each."""
+    worst = 0.0
+    for i in range(samples):
+        s = i / (samples - 1)
+        worst = max(worst, distance(scan_evaluate(p, s), scan_evaluate(q, s)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ from ditopo.core import (
     Step,
     Vertex,
     concatenate,
-    evaluate,
     format_point,
     parse_point,
     points_equal,
     sup_distance,
 )
 from ditopo.errors import EndpointMismatch, InvalidPath, InvalidPoint, OutOfRange
-from ditopo.graph import DirectedGraph, directed_circle, directed_interval
+from ditopo.graph import DirectedGraph, directed_circle, directed_interval, directed_loop
 
 
 @pytest.fixture
@@ -65,7 +64,7 @@ class TestEvaluate:
 
     def test_quarter_point(self, interval):
         p = DiPath.from_steps(interval, [("e", 0.0, 1.0)])
-        assert evaluate(p, 0.25) == EdgeInterior("e", 0.25)
+        assert p.evaluate(0.25) == EdgeInterior("e", 0.25)
 
     def test_junction_of_two_unit_steps(self):
         g = DirectedGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
@@ -78,6 +77,16 @@ class TestEvaluate:
             assert p.evaluate(s) == Vertex("0")
         q = DiPath.constant(interval, EdgeInterior("e", 0.4))
         assert q.evaluate(0.9) == EdgeInterior("e", 0.4)
+
+    def test_repeated_step_object(self):
+        # concatenate(a, a) shares a's one Step object between both laps;
+        # the second lap must still be walked, not cut at the first
+        loop = directed_loop()
+        a = DiPath.from_steps(loop, [("l", 0.0, 1.0)])
+        twice = concatenate(a, a)
+        assert twice.evaluate(0.75) == EdgeInterior("l", 0.5)
+        assert twice.evaluate_many([0.25, 0.5, 0.75]) == [
+            EdgeInterior("l", 0.5), Vertex("v"), EdgeInterior("l", 0.5)]
 
     def test_out_of_range(self, interval):
         p = DiPath.from_steps(interval, [("e", 0.0, 1.0)])
