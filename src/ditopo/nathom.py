@@ -5,20 +5,32 @@ class between an ordered sample pair, carrying the free abelian group on
 the trace classes of its endpoints (trace spaces of graphs are homotopy
 discrete, so H0 is exactly that and all higher homology vanishes).
 Morphisms extend a trace on both sides by sample-to-sample traces and act
-on bases by concatenation.
+on bases by concatenation, so each one sends basis elements to basis
+elements: it is stored as a basis index map (``image``: for each source
+basis element, the position of its image), and its 0/1 ``matrix`` is
+derived from that map only for output.
 
 A diagram is bisimulation-equivalent to the one-object constant-Z diagram
-exactly when every group has rank one and every morphism matrix is an
+exactly when every group has rank one and every morphism is an
 isomorphism; ``check_bisimulation`` verifies an explicitly supplied
-relation between two diagrams instead.
+relation between two diagrams instead.  Costs, for a diagram with M
+morphisms and groups of rank at most r:
+
+- ``is_bisimilar_to_point``: O(objects + M), one bijection test per
+  morphism once every rank is known to be one.
+- ``check_bisimulation``: O(r^3) per relation matrix (an exact Bareiss
+  determinant).  Then, for each relation triple (a, eta, b), one product
+  eta' . F per morphism F out of a and matrix eta' relating F.dst, and one
+  product G . eta per morphism G out of b, at O(r^2) each: eta' . F
+  selects columns of eta' by F's image, and G . eta adds rows of eta into
+  G's image rows.  The two sets of squares are matched by hashing, so no
+  pair (F, G) is compared directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .core import EdgeInterior, GraphPoint, format_point
 from .errors import InfiniteTraceSpace, NotIso
@@ -64,32 +76,50 @@ class NatMorphism:
     dst: str
     alpha: tuple         # extension on the left (new source -> old source)
     beta: tuple          # extension on the right (old target -> new target)
-    matrix: tuple        # rows of the integer matrix, dst-rank x src-rank
+    image: tuple         # for each source basis element, its row in the target basis
+    dst_rank: int
 
-    def array(self) -> np.ndarray:
-        m = np.array(self.matrix, dtype=int)
-        if m.size == 0:
-            rows = len(self.matrix)
-            return m.reshape(rows, 0)
-        return m
+    @property
+    def matrix(self) -> tuple:
+        """Rows of the 0/1 integer matrix, dst-rank x src-rank."""
+        return tuple(tuple(1 if i == row else 0 for i in self.image)
+                     for row in range(self.dst_rank))
+
+    def is_bijection(self) -> bool:
+        return sorted(self.image) == list(range(self.dst_rank))
 
 
 @dataclass
 class NatDiagram:
+    """Objects and morphisms, looked up through dict indexes that are built
+    on the first lookup: the two lists must not change after that."""
+
     objects: list
     morphisms: list
+    _index: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def _indexes(self) -> tuple:
+        if self._index is None:
+            by_id, out, into = {}, {}, {}
+            for o in self.objects:
+                by_id.setdefault(o.id, o)
+            for m in self.morphisms:
+                out.setdefault(m.src, []).append(m)
+                into.setdefault(m.dst, []).append(m)
+            self._index = (by_id, out, into)
+        return self._index
 
     def object(self, obj_id: str) -> NatObject:
-        for o in self.objects:
-            if o.id == obj_id:
-                return o
-        raise KeyError(f"no object {obj_id!r}")
+        try:
+            return self._indexes()[0][obj_id]
+        except KeyError:
+            raise KeyError(f"no object {obj_id!r}") from None
 
     def morphisms_from(self, obj_id: str) -> list:
-        return [m for m in self.morphisms if m.src == obj_id]
+        return list(self._indexes()[1].get(obj_id, ()))
 
     def morphisms_into(self, obj_id: str) -> list:
-        return [m for m in self.morphisms if m.dst == obj_id]
+        return list(self._indexes()[2].get(obj_id, ()))
 
     def ranks(self) -> dict:
         return {o.id: o.rank for o in self.objects}
@@ -159,31 +189,31 @@ def factorization_diagram(g: DirectedGraph, samples: Sequence[GraphPoint]) -> Na
             objects.append(obj)
             index[(x, y, trace)] = obj
 
+    position = {pair: {c: i for i, c in enumerate(b)} for pair, b in basis.items()}
     morphisms = []
     for (x, y) in pairs:
         src_basis = basis[(x, y)]
         for (x2, y2) in pairs:
             if (x2, x) not in basis or (y, y2) not in basis:
                 continue
+            dst_basis, dst_position = basis[(x2, y2)], position[(x2, y2)]
             for alpha in basis[(x2, x)]:
                 for beta in basis[(y, y2)]:
-                    dst_basis = basis[(x2, y2)]
-                    col_of = {}
+                    image = []
                     for c in src_basis:
                         extended = _splice(_splice(alpha, c, x), beta, y)
-                        if extended not in dst_basis:
+                        row = dst_position.get(extended)
+                        if row is None:
                             raise RuntimeError(
                                 f"extension {extended} missing from the basis of "
                                 f"({format_point(x2)}, {format_point(y2)})")
-                        col_of[c] = dst_basis.index(extended)
-                    matrix = tuple(
-                        tuple(1 if col_of[c] == row else 0 for c in src_basis)
-                        for row in range(len(dst_basis)))
-                    for trace in src_basis:
+                        image.append(row)
+                    image = tuple(image)
+                    for trace, row in zip(src_basis, image):
                         src_obj = index[(x, y, trace)]
-                        dst_obj = index[(x2, y2, dst_basis[col_of[trace]])]
+                        dst_obj = index[(x2, y2, dst_basis[row])]
                         morphisms.append(NatMorphism(
-                            src_obj.id, dst_obj.id, alpha, beta, matrix))
+                            src_obj.id, dst_obj.id, alpha, beta, image, len(dst_basis)))
     return NatDiagram(objects, morphisms)
 
 
@@ -197,7 +227,7 @@ def h_n(diagram: NatDiagram, n: int) -> NatDiagram:
     if n == 1:
         return diagram
     objects = [NatObject(o.id, o.source, o.target, o.trace, ()) for o in diagram.objects]
-    morphisms = [NatMorphism(m.src, m.dst, m.alpha, m.beta, ()) for m in diagram.morphisms]
+    morphisms = [NatMorphism(m.src, m.dst, m.alpha, m.beta, (), 0) for m in diagram.morphisms]
     return NatDiagram(objects, morphisms)
 
 
@@ -205,8 +235,7 @@ def terminal_diagram(rank: int = 1) -> NatDiagram:
     """One object with Z^rank and its identity morphism."""
     basis = tuple(("z",) * i for i in range(rank))  # distinct placeholder labels
     obj = NatObject("pt", "*", "*", (), basis)
-    identity = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    return NatDiagram([obj], [NatMorphism("pt", "pt", (), (), identity)])
+    return NatDiagram([obj], [NatMorphism("pt", "pt", (), (), tuple(range(rank)), rank)])
 
 
 def _det(rows) -> int:
@@ -229,19 +258,16 @@ def _det(rows) -> int:
     return sign * a[-1][-1]
 
 
-def _is_unit(matrix: np.ndarray) -> bool:
-    if matrix.shape[0] != matrix.shape[1]:
-        return False
-    if matrix.size == 0:
-        return True
-    return _det(matrix.tolist()) in (1, -1)
+def _is_unit(rows) -> bool:
+    """Whether a square integer matrix, given by its rows, is invertible over Z."""
+    return not rows or _det(rows) in (1, -1)
 
 
 def is_bisimilar_to_point(diagram: NatDiagram) -> tuple[bool, dict]:
     """Decide bisimulation equivalence with the constant-Z one-object diagram.
 
-    Holds exactly when every group has rank one and every morphism acts by
-    an integer unit; the certificate pairs each object with the terminal
+    Holds exactly when every group has rank one and every morphism is a
+    bijection of bases; the certificate pairs each object with the terminal
     object, or names the first offender.
     """
     if not diagram.objects:
@@ -250,51 +276,83 @@ def is_bisimilar_to_point(diagram: NatDiagram) -> tuple[bool, dict]:
         if o.rank != 1:
             return False, {"object": o.id, "rank": o.rank}
     for m in diagram.morphisms:
-        if not _is_unit(m.array()):
+        if not m.is_bijection():
             return False, {"morphism": [m.src, m.dst], "matrix": [list(r) for r in m.matrix]}
     pairing = [[o.id, [[1]], "pt"] for o in diagram.objects]
     return True, {"pairing": pairing}
+
+
+def _entries(eta) -> list:
+    """The entries of a (nested) sequence, in row-major order."""
+    if isinstance(eta, (str, bytes)) or not hasattr(eta, "__iter__"):
+        return [eta]
+    entries = []
+    for item in eta:
+        entries += _entries(item)
+    return entries
+
+
+def _relation_matrix(eta, o1: NatObject, o2: NatObject) -> tuple:
+    """The rank2 x rank1 integer rows of a relation matrix, from its entries
+    in row-major order; raises ``ValueError`` on a wrong entry count and
+    ``NotIso`` unless it is an integer isomorphism."""
+    entries = _entries(eta)
+    rows, cols = o2.rank, o1.rank
+    if len(entries) != rows * cols:
+        raise ValueError(f"relation matrix between {o1.id!r} and {o2.id!r} has "
+                         f"{len(entries)} entries, not {rows}x{cols}")
+    values = []
+    for v in entries:
+        try:
+            n = int(v)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != v:
+            raise NotIso(f"relation matrix between {o1.id!r} and {o2.id!r} "
+                         f"has the non-integer entry {v!r}")
+        values.append(n)
+    matrix = tuple(tuple(values[r * cols:(r + 1) * cols]) for r in range(rows))
+    if rows != cols or not _is_unit(matrix):
+        raise NotIso(f"relation matrix between {o1.id!r} and {o2.id!r} is not a Z-isomorphism")
+    return matrix
+
+
+def _push(g: NatMorphism, eta: tuple, width: int) -> tuple:
+    """G . eta: row k of eta added into row ``g.image[k]``."""
+    rows = [(0,) * width] * g.dst_rank
+    for k, i in enumerate(g.image):
+        rows[i] = tuple(x + y for x, y in zip(rows[i], eta[k]))
+    return tuple(rows)
 
 
 def check_bisimulation(d1: NatDiagram, d2: NatDiagram, relation: Sequence) -> bool:
     """Verify a supplied hereditary relation between two diagrams.
 
     ``relation`` lists triples (object1_id, matrix, object2_id); each matrix
-    must be an integer isomorphism between the named groups.  Both heredity
-    clauses are verified as strict commutation of matrices: every morphism
-    out of one side must close a commuting square through some related
-    morphism out of the other.
+    must be an integer isomorphism between the named groups, given as its
+    entries in row-major order (nested or flat).  Both heredity clauses are
+    verified as strict commutation of matrices: every morphism out of one
+    side must close a commuting square through some related morphism out of
+    the other.
     """
     triples = []
+    related: dict = {}           # object1 id -> [(object2 id, matrix)]
     for (a, eta, b) in relation:
-        o1, o2 = d1.object(a), d2.object(b)
-        m = np.array(eta, dtype=int).reshape(o2.rank, o1.rank)
-        if not _is_unit(m):
-            raise NotIso(f"relation matrix between {a!r} and {b!r} is not a Z-isomorphism")
-        triples.append((a, m, b))
+        o1 = d1.object(a)
+        m = _relation_matrix(eta, o1, d2.object(b))
+        triples.append((a, m, b, o1.rank))
+        related.setdefault(a, []).append((b, m))
+    out1, out2 = d1._indexes()[1], d2._indexes()[1]
 
-    def closes(src_diag, dst_diag, src_id, eta, dst_id, forward: bool) -> bool:
-        for f in src_diag.morphisms_from(src_id):
-            matched = False
-            for g in dst_diag.morphisms_from(dst_id):
-                for (a2, eta2, b2) in triples:
-                    x2, y2 = (a2, b2) if forward else (b2, a2)
-                    if x2 != f.dst or y2 != g.dst:
-                        continue
-                    lhs = eta2 @ f.array() if forward else eta2 @ g.array()
-                    rhs = g.array() @ eta if forward else f.array() @ eta
-                    if lhs.shape == rhs.shape and np.array_equal(lhs, rhs):
-                        matched = True
-                        break
-                if matched:
-                    break
-            if not matched:
-                return False
-        return True
-
-    for (a, eta, b) in triples:
-        if not closes(d1, d2, a, eta, b, forward=True):
+    for (a, eta, b, width) in triples:
+        # per F out of a: (b', eta' . F) for each eta' relating F.dst to b'
+        selected = [[(b2, tuple(tuple(row[i] for i in f.image) for row in eta2))
+                     for b2, eta2 in related.get(f.dst, ())]
+                    for f in out1.get(a, ())]
+        # per G out of b: (G.dst, G . eta)
+        pushed = {(g.dst, _push(g, eta, width)) for g in out2.get(b, ())}
+        if not all(any(square in pushed for square in row) for row in selected):
             return False
-        if not closes(d2, d1, b, eta, a, forward=False):
+        if not pushed.issubset(square for row in selected for square in row):
             return False
     return True

@@ -13,7 +13,7 @@ from collections import deque
 import pytest
 
 from ditopo.core import PARAM_TOL, DiPath, EdgeInterior, Step, Vertex
-from ditopo.errors import OutOfRange
+from ditopo.errors import NotIso, OutOfRange
 from ditopo.graph import DirectedGraph
 from ditopo.product import ProductPath
 from ditopo.sphere import SpherePath
@@ -447,3 +447,132 @@ def balanced_pv_processes(max_actions: int = 4, semaphores=("a", "b")):
         frontier = nxt
         results.extend(seq for seq, held in frontier if not held)
     return sorted(set(results), key=lambda seq: [str(a) for a in seq])
+
+# ---------------------------------------------------------------------------
+# Independent oracle: natural homology on dense matrices
+# ---------------------------------------------------------------------------
+#
+# The dense-matrix algorithm the library ran before morphisms became basis
+# index maps, on plain lists: every morphism is its full 0/1 matrix, a unit
+# is a square matrix with determinant +-1, and heredity multiplies matrices
+# for every (morphism, morphism, relation triple) combination.  Relation
+# matrices take the library's entry rule: non-integer entries are refused,
+# where the old code truncated them.
+
+class Dense:
+    """An integer matrix with an explicit shape, so that 0 x k is kept."""
+
+    def __init__(self, rows: int, cols: int, data):
+        self.rows, self.cols = rows, cols
+        self.data = [list(r) for r in data]
+        assert len(self.data) == rows and all(len(r) == cols for r in self.data)
+
+    @classmethod
+    def of(cls, matrix) -> "Dense":
+        """A morphism matrix, shaped as the old ``NatMorphism.array()`` was."""
+        return cls(len(matrix), len(matrix[0]) if matrix else 0, matrix)
+
+    def __matmul__(self, other: "Dense") -> "Dense":
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} "
+                             f"by {other.rows}x{other.cols}")
+        return Dense(self.rows, other.cols,
+                     [[sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
+                       for j in range(other.cols)] for i in range(self.rows)])
+
+    def __eq__(self, other) -> bool:
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+
+
+def bareiss_det(rows) -> int:
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def dense_is_unit(m: Dense) -> bool:
+    if m.rows != m.cols:
+        return False
+    return m.rows == 0 or bareiss_det(m.data) in (1, -1)
+
+
+def _flat(eta) -> list:
+    if isinstance(eta, (list, tuple)):
+        return [v for item in eta for v in _flat(item)]
+    return [eta]
+
+
+def dense_relation_matrix(eta, rows: int, cols: int) -> Dense:
+    entries = _flat(eta)
+    if len(entries) != rows * cols:
+        raise ValueError(f"{len(entries)} entries do not fill {rows}x{cols}")
+    if any(int(v) != v for v in entries):
+        raise NotIso(f"non-integer entry in {eta!r}")
+    return Dense(rows, cols, [[int(v) for v in entries[r * cols:(r + 1) * cols]]
+                              for r in range(rows)])
+
+
+def dense_is_bisimilar_to_point(diagram):
+    if not diagram.objects:
+        return False, {"reason": "no objects to relate"}
+    for o in diagram.objects:
+        if o.rank != 1:
+            return False, {"object": o.id, "rank": o.rank}
+    for m in diagram.morphisms:
+        if not dense_is_unit(Dense.of(m.matrix)):
+            return False, {"morphism": [m.src, m.dst], "matrix": [list(r) for r in m.matrix]}
+    return True, {"pairing": [[o.id, [[1]], "pt"] for o in diagram.objects]}
+
+
+def dense_check_bisimulation(d1, d2, relation) -> bool:
+    def obj(d, oid):
+        found = [o for o in d.objects if o.id == oid]
+        if not found:
+            raise KeyError(f"no object {oid!r}")
+        return found[0]
+
+    triples = []
+    for (a, eta, b) in relation:
+        m = dense_relation_matrix(eta, obj(d2, b).rank, obj(d1, a).rank)
+        if not dense_is_unit(m):
+            raise NotIso(f"relation matrix between {a!r} and {b!r} is not a Z-isomorphism")
+        triples.append((a, m, b))
+
+    def closes(src_diag, dst_diag, src_id, eta, dst_id, forward: bool) -> bool:
+        for f in [m for m in src_diag.morphisms if m.src == src_id]:
+            matched = False
+            for g in [m for m in dst_diag.morphisms if m.src == dst_id]:
+                for (a2, eta2, b2) in triples:
+                    x2, y2 = (a2, b2) if forward else (b2, a2)
+                    if x2 != f.dst or y2 != g.dst:
+                        continue
+                    fm, gm = Dense.of(f.matrix), Dense.of(g.matrix)
+                    lhs = eta2 @ fm if forward else eta2 @ gm
+                    rhs = gm @ eta if forward else fm @ eta
+                    if lhs == rhs:
+                        matched = True
+                        break
+                if matched:
+                    break
+            if not matched:
+                return False
+        return True
+
+    for (a, eta, b) in triples:
+        if not closes(d1, d2, a, eta, b, forward=True):
+            return False
+        if not closes(d2, d1, b, eta, a, forward=False):
+            return False
+    return True

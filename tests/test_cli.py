@@ -1,9 +1,14 @@
 """Command dispatch, serialization round-trips, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ditopo
 from ditopo.cli import main
 from ditopo.graph import DirectedGraph, directed_circle, directed_interval
 
@@ -155,3 +160,14 @@ class TestContract:
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["graph", "ditc", "/nonexistent/g.json"]) == 1
+
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter, so that modules this test session loaded do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(ditopo.__file__).resolve().parents[1]))
+    probe = ("import sys; before = set(sys.modules); import ditopo.cli; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names) - {'ditopo'}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -3,8 +3,8 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
+from conftest import Dense, dense_is_unit
 
 from ditopo.core import EdgeInterior, Vertex
 from ditopo.errors import InfiniteTraceSpace, NotIso
@@ -106,17 +106,17 @@ class TestDiagramMechanics:
                 composites = [m for m in by_src.get(f.src, [])
                               if m.dst == g.dst and m.alpha == alpha and m.beta == beta]
                 assert composites, (f, g)
-                assert np.array_equal(composites[0].array(),
-                                      g.array() @ f.array())
+                assert Dense.of(composites[0].matrix) == Dense.of(g.matrix) @ Dense.of(f.matrix)
                 checked += 1
         assert checked > 10
 
     def test_basis_permanence(self):
         for d in (circle_diagram(), interval_diagram()):
             for m in d.morphisms:
-                arr = m.array()
-                assert set(arr.flatten()) <= {0, 1}
-                assert all(arr[:, j].sum() == 1 for j in range(arr.shape[1]))
+                rows = m.matrix
+                assert {v for row in rows for v in row} <= {0, 1}
+                assert all(sum(row[j] for row in rows) == 1 for j in range(len(m.image)))
+                assert all(rows[i][j] == 1 for j, i in enumerate(m.image))
 
     def test_interior_samples_splice_partial_edges(self):
         d = factorization_diagram(
@@ -131,7 +131,7 @@ class TestDiagramMechanics:
 class TestBisimulationChecker:
     def test_diagram_against_itself(self):
         d = circle_diagram()
-        relation = [(o.id, np.eye(o.rank, dtype=int).tolist(), o.id)
+        relation = [(o.id, [[int(i == j) for j in range(o.rank)] for i in range(o.rank)], o.id)
                     for o in d.objects]
         assert check_bisimulation(d, d, relation)
 
@@ -151,6 +151,23 @@ class TestBisimulationChecker:
         # relate only one object; its outgoing extensions cannot close squares
         relation = [("v:0>v:0:const", [[1]], "pt")]
         assert not check_bisimulation(d, terminal_diagram(), relation)
+
+    def test_non_integer_entries_are_not_iso(self):
+        # truncating the entries would read 1.5 and -1.9 as the units 1 and -1
+        d = interval_diagram()
+        for eta in ([[1.5]], [[-1.9]], [[float("nan")]]):
+            with pytest.raises(NotIso):
+                check_bisimulation(d, terminal_diagram(),
+                                   [(o.id, eta, "pt") for o in d.objects])
+        assert check_bisimulation(d, terminal_diagram(),
+                                  [(o.id, [[-1.0]], "pt") for o in d.objects])
+
+    def test_entry_count_must_fill_the_shape(self):
+        d = circle_diagram()
+        with pytest.raises(ValueError):
+            check_bisimulation(d, d, [("v:b>v:e:top", [[1, 0, 0]], "v:b>v:e:top")])
+        assert check_bisimulation(d, d, [("v:b>v:e:top", [1, 0, 0, 1], "v:b>v:e:top")]) \
+            == check_bisimulation(d, d, [("v:b>v:e:top", [[1, 0], [0, 1]], "v:b>v:e:top")])
 
     def test_circle_cannot_relate_to_terminal(self):
         d = circle_diagram()
@@ -188,8 +205,8 @@ class TestExactDeterminant:
     def test_large_entry_unimodular_matrix(self):
         m = [[10 ** 9 + 1, 10 ** 9], [10 ** 9, 10 ** 9 - 1]]
         assert _det(m) == -1
-        assert _is_unit(np.array(m, dtype=int))
-        assert not _is_unit(np.array([[2, 0], [0, 1]], dtype=int))
+        assert _is_unit(m) and dense_is_unit(Dense(2, 2, m))
+        assert not _is_unit([[2, 0], [0, 1]])
 
     def test_bisimulation_accepts_it_on_a_rank_two_object(self):
         d = circle_diagram()
