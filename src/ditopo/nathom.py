@@ -176,29 +176,34 @@ def factorization_diagram(g: DirectedGraph, samples: Sequence[GraphPoint]) -> Na
     """
     oracle = gamma(g)
     samples = list(dict.fromkeys(samples))
-    pairs = [(x, y) for x in samples for y in samples if oracle.membership(x, y)]
-    pairs.sort(key=lambda p: (format_point(p[0]), format_point(p[1])))
-    basis: dict = {(x, y): _exact_classes(g, x, y) for (x, y) in pairs}
+    names = [format_point(p) for p in samples]
+    # pairs, bases and objects are keyed by sample indices, so the loops
+    # below hash small int tuples rather than points
+    pairs = [(i, j) for i, x in enumerate(samples) for j, y in enumerate(samples)
+             if oracle.membership(x, y)]
+    pairs.sort(key=lambda p: (names[p[0]], names[p[1]]))
+    basis: dict = {(i, j): _exact_classes(g, samples[i], samples[j]) for (i, j) in pairs}
 
     objects = []
-    index: dict = {}
-    for (x, y) in pairs:
-        for trace in basis[(x, y)]:
-            oid = f"{format_point(x)}>{format_point(y)}:{_class_label(trace)}"
-            obj = NatObject(oid, format_point(x), format_point(y), trace, basis[(x, y)])
-            objects.append(obj)
-            index[(x, y, trace)] = obj
+    pair_objects: dict = {}
+    for (i, j) in pairs:
+        pair_objects[(i, j)] = objs = [
+            NatObject(f"{names[i]}>{names[j]}:{_class_label(trace)}", names[i], names[j],
+                      trace, basis[(i, j)])
+            for trace in basis[(i, j)]]
+        objects.extend(objs)
 
-    position = {pair: {c: i for i, c in enumerate(b)} for pair, b in basis.items()}
+    position = {pair: {c: k for k, c in enumerate(b)} for pair, b in basis.items()}
     morphisms = []
-    for (x, y) in pairs:
-        src_basis = basis[(x, y)]
-        for (x2, y2) in pairs:
-            if (x2, x) not in basis or (y, y2) not in basis:
+    for (i, j) in pairs:
+        x, y = samples[i], samples[j]
+        src_basis, src_objects = basis[(i, j)], pair_objects[(i, j)]
+        for (i2, j2) in pairs:
+            if (i2, i) not in basis or (j, j2) not in basis:
                 continue
-            dst_basis, dst_position = basis[(x2, y2)], position[(x2, y2)]
-            for alpha in basis[(x2, x)]:
-                for beta in basis[(y, y2)]:
+            dst_position, dst_objects = position[(i2, j2)], pair_objects[(i2, j2)]
+            for alpha in basis[(i2, i)]:
+                for beta in basis[(j, j2)]:
                     image = []
                     for c in src_basis:
                         extended = _splice(_splice(alpha, c, x), beta, y)
@@ -206,14 +211,13 @@ def factorization_diagram(g: DirectedGraph, samples: Sequence[GraphPoint]) -> Na
                         if row is None:
                             raise RuntimeError(
                                 f"extension {extended} missing from the basis of "
-                                f"({format_point(x2)}, {format_point(y2)})")
+                                f"({names[i2]}, {names[j2]})")
                         image.append(row)
                     image = tuple(image)
-                    for trace, row in zip(src_basis, image):
-                        src_obj = index[(x, y, trace)]
-                        dst_obj = index[(x2, y2, dst_basis[row])]
+                    for src_obj, row in zip(src_objects, image):
                         morphisms.append(NatMorphism(
-                            src_obj.id, dst_obj.id, alpha, beta, image, len(dst_basis)))
+                            src_obj.id, dst_objects[row].id, alpha, beta, image,
+                            len(dst_objects)))
     return NatDiagram(objects, morphisms)
 
 

@@ -6,12 +6,17 @@ coordinate k of its axis.  Holding the same semaphore in both processes is
 impossible, which shades one open rectangle per pair of same-semaphore
 lock intervals.  Schedules are monotone staircases on a grid refinement of
 the square that avoid the open rectangles; boundary contact is allowed.
+
+Reachability runs on per-row int bitsets of the grid (``PVGamma``).  On an
+nx x ny grid, rasterizing the rectangles costs O(rectangles x rows) once
+per oracle, each new source O(ny) big-int operations (one row sweep), and
+each cached source (nx+1)(ny+1) bits.  A schedule is one backward sweep
+plus a walk of nx+ny steps.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -145,12 +150,55 @@ def forbidden_regions(prog: PVProgram) -> ForbiddenRegion:
 # Reachability on the grid
 # ---------------------------------------------------------------------------
 
+def _raster(boxes, r: int, nx: int, ny: int) -> tuple[list, list]:
+    """Allowed-move masks of the grid with the open boxes (x1, x2, y1, y2),
+    given in step units, removed: bit a of h[b] is set iff the move
+    (a, b) -> (a+1, b) is allowed, bit a of v[b] iff (a, b) -> (a, b+1) is."""
+    h = [(1 << nx) - 1] * (ny + 1)
+    v = [(1 << (nx + 1)) - 1] * ny
+    for x1, x2, y1, y2 in boxes:
+        x1, x2, y1, y2 = x1 * r, x2 * r, y1 * r, y2 * r
+        h_cut = ~(((1 << (x2 - x1)) - 1) << x1)            # x1 <= a < x2
+        v_cut = ~(((1 << (x2 - x1 - 1)) - 1) << (x1 + 1))  # x1 < a < x2
+        for b in range(y1 + 1, y2):
+            h[b] &= h_cut
+        for b in range(y1, y2):
+            v[b] &= v_cut
+    return h, v
+
+
+def _sweep(h: list, v: list, a: int, b: int) -> list:
+    """Rows of the nodes reachable from (a, b): bit i of row j is set iff
+    (i, j) is reachable.  A monotone path enters each row once from below
+    and then only moves right, so each row is a carry fill of the one
+    below: s | (((s & m) + m) ^ m) extends every bit of s along the run of
+    allowed moves in m that starts at it."""
+    rows = [0] * len(h)
+    s = 1 << a
+    for j in range(b, len(h)):
+        if j > b:
+            s &= v[j - 1]
+            if not s:
+                break
+        m = h[j]
+        s |= ((s & m) + m) ^ m
+        rows[j] = s
+    return rows
+
+
 class PVGamma:
     """Monotone staircase reachability over a grid refinement of the square.
 
     Grid indices count steps of 1/resolution in program-step units; queries
     must be grid-aligned.  A point strictly inside a forbidden rectangle is
     not a point of the space, so nothing is reachable from or to it.
+
+    The rectangles are rasterized once into per-row masks of allowed moves,
+    in O(rectangles x rows); so are their point reflections, on which
+    reaching a node backwards is reaching its reflection forwards.  Each new
+    source then costs one row sweep of O(ny) big-int operations and is
+    cached as (nx+1)(ny+1) bits; ``membership`` on a cached source is one
+    bit test.
     """
 
     def __init__(self, prog: PVProgram, resolution: int = 8):
@@ -162,6 +210,11 @@ class PVGamma:
         n1, n2 = prog.shape
         self.nx = n1 * resolution
         self.ny = n2 * resolution
+        boxes = [(q.x1, q.x2, q.y1, q.y2) for q in self.rects]
+        self._h, self._v = _raster(boxes, resolution, self.nx, self.ny)
+        self._back_h, self._back_v = _raster(
+            [(n1 - x2, n1 - x1, n2 - y2, n2 - y1) for x1, x2, y1, y2 in boxes],
+            resolution, self.nx, self.ny)
         self._reach_cache: dict = {}
         self._coreach_cache: dict = {}
 
@@ -183,69 +236,31 @@ class PVGamma:
         return not any(q.x1 * r < a < q.x2 * r and q.y1 * r < b < q.y2 * r
                        for q in self.rects)
 
-    def _h_blocked(self, a: int, b: int) -> bool:
-        """Move (a,b) -> (a+1,b) crosses some open rectangle."""
-        r = self.r
-        return any(q.y1 * r < b < q.y2 * r and q.x1 * r <= a and a + 1 <= q.x2 * r
-                   for q in self.rects)
+    def _reach(self, node: tuple[int, int]) -> list:
+        """Row bitsets of the nodes reachable from node (see ``_sweep``).
+        A node inside a rectangle has no allowed move, so it reaches only
+        itself."""
+        rows = self._reach_cache.get(node)
+        if rows is None:
+            rows = self._reach_cache[node] = _sweep(self._h, self._v, *node)
+        return rows
 
-    def _v_blocked(self, a: int, b: int) -> bool:
-        r = self.r
-        return any(q.x1 * r < a < q.x2 * r and q.y1 * r <= b and b + 1 <= q.y2 * r
-                   for q in self.rects)
-
-    def _moves(self, node):
-        a, b = node
-        if a < self.nx and not self._h_blocked(a, b):
-            yield (a + 1, b)
-        if b < self.ny and not self._v_blocked(a, b):
-            yield (a, b + 1)
-
-    def _back_moves(self, node):
-        a, b = node
-        if a > 0 and not self._h_blocked(a - 1, b):
-            yield (a - 1, b)
-        if b > 0 and not self._v_blocked(a, b - 1):
-            yield (a, b - 1)
-
-    def reachable_from(self, node: tuple[int, int]) -> frozenset:
-        if node in self._reach_cache:
-            return self._reach_cache[node]
-        seen = {node}
-        queue = deque([node])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._moves(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        result = frozenset(seen)
-        self._reach_cache[node] = result
-        return result
-
-    def coreachable_to(self, node: tuple[int, int]) -> frozenset:
-        if node in self._coreach_cache:
-            return self._coreach_cache[node]
-        seen = {node}
-        queue = deque([node])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._back_moves(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        result = frozenset(seen)
-        self._coreach_cache[node] = result
-        return result
+    def _coreach(self, node: tuple[int, int]) -> list:
+        """Row bitsets of the nodes that reach node, in reflected
+        coordinates: bit nx-a of row ny-b is set iff (a, b) reaches node."""
+        rows = self._coreach_cache.get(node)
+        if rows is None:
+            rows = self._coreach_cache[node] = _sweep(
+                self._back_h, self._back_v, self.nx - node[0], self.ny - node[1])
+        return rows
 
     def membership(self, x, y) -> bool:
         a = self.snap(x)
         b = self.snap(y)
-        if not (self.valid_node(a) and self.valid_node(b)):
-            return False
-        if not (a[0] <= b[0] and a[1] <= b[1]):
-            return False
-        return b in self.reachable_from(a)
+        if a == b:
+            return self.valid_node(a)
+        # no node inside a rectangle reaches, or is reached from, another
+        return bool(self._reach(a)[b[1]] >> b[0] & 1)
 
 
 def pv_gamma(prog: PVProgram, resolution: int = 8) -> PVGamma:
@@ -285,42 +300,34 @@ def schedule(prog: PVProgram, x, y, resolution: int = 8) -> Schedule:
     b = oracle.snap(y)
     if not oracle.membership(x, y):
         raise Unreachable(f"no monotone schedule from {x!r} to {y!r}")
-    good = oracle.coreachable_to(b)
-    r = oracle.r
-    points = [a]
+    good = oracle._coreach(b)   # holds only nodes <= b
+    nx, ny, r = oracle.nx, oracle.ny, oracle.r
     actions: list[str] = []
-    cur = a
-    while cur != b:
-        options = []
-        for nxt in oracle._moves(cur):
-            if nxt in good and nxt[0] <= b[0] and nxt[1] <= b[1]:
-                options.append(nxt)
-        # prefer the coordinate with more ground left; ties go to process 1
-        options.sort(key=lambda n: (-(b[0] - cur[0]) if n[0] > cur[0] else -(b[1] - cur[1]),
-                                    0 if n[0] > cur[0] else 1))
-        nxt = options[0]
+
+    def advance(k: int, process: tuple, tag: str) -> None:
         # Locks live on open intervals: a P action takes effect when the
         # path departs its coordinate, a V when the path arrives at its.
-        if nxt[0] > cur[0]:
-            if cur[0] % r == 0 and cur[0] >= r:
-                act = prog.process1[cur[0] // r - 1]
-                if act.op == "P":
-                    actions.append(f"1:{act}")
-            if nxt[0] % r == 0:
-                act = prog.process1[nxt[0] // r - 1]
-                if act.op == "V":
-                    actions.append(f"1:{act}")
+        if k % r == 0 and k >= r and process[k // r - 1].op == "P":
+            actions.append(f"{tag}:{process[k // r - 1]}")
+        if (k + 1) % r == 0 and process[(k + 1) // r - 1].op == "V":
+            actions.append(f"{tag}:{process[(k + 1) // r - 1]}")
+
+    i, j = a
+    points = [a]
+    while (i, j) != b:
+        # A blocked move has an end strictly inside a rectangle (each is at
+        # least two grid steps wide), and no such node reaches b, so a move
+        # to a node of good needs no check against the masks.
+        right = i < b[0] and good[ny - j] >> (nx - i - 1) & 1
+        up = j < b[1] and good[ny - j - 1] >> (nx - i) & 1
+        # prefer the coordinate with more ground left; ties go to process 1
+        if right and (not up or b[0] - i >= b[1] - j):
+            advance(i, prog.process1, "1")
+            i += 1
         else:
-            if cur[1] % r == 0 and cur[1] >= r:
-                act = prog.process2[cur[1] // r - 1]
-                if act.op == "P":
-                    actions.append(f"2:{act}")
-            if nxt[1] % r == 0:
-                act = prog.process2[nxt[1] // r - 1]
-                if act.op == "V":
-                    actions.append(f"2:{act}")
-        points.append(nxt)
-        cur = nxt
+            advance(j, prog.process2, "2")
+            j += 1
+        points.append((i, j))
     coords = tuple((p[0] / r, p[1] / r) for p in points)
     return Schedule(prog, resolution, coords, tuple(actions))
 

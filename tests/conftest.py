@@ -448,6 +448,108 @@ def balanced_pv_processes(max_actions: int = 4, semaphores=("a", "b")):
         results.extend(seq for seq, held in frontier if not held)
     return sorted(set(results), key=lambda seq: [str(a) for a in seq])
 
+
+class GridBfsGamma:
+    """The node-by-node grid search the library ran before its row-sweep
+    engine: each move scans every rectangle, reachable and co-reachable
+    sets are breadth-first searches, and a schedule walks the moves that
+    stay inside the co-reachable set of its target.  Points are grid nodes
+    (integer multiples of 1/resolution in step units)."""
+
+    def __init__(self, prog, resolution: int = 8):
+        from ditopo.pv import forbidden_regions
+        self.prog = prog
+        self.r = resolution
+        self.rects = forbidden_regions(prog).rectangles
+        n1, n2 = prog.shape
+        self.nx, self.ny = n1 * resolution, n2 * resolution
+        self._cache = {}
+
+    def node(self, point) -> tuple:
+        return round(point[0] * self.r), round(point[1] * self.r)
+
+    def valid_node(self, node) -> bool:
+        a, b = node
+        r = self.r
+        return not any(q.x1 * r < a < q.x2 * r and q.y1 * r < b < q.y2 * r
+                       for q in self.rects)
+
+    def _h_blocked(self, a, b) -> bool:
+        r = self.r
+        return any(q.y1 * r < b < q.y2 * r and q.x1 * r <= a and a + 1 <= q.x2 * r
+                   for q in self.rects)
+
+    def _v_blocked(self, a, b) -> bool:
+        r = self.r
+        return any(q.x1 * r < a < q.x2 * r and q.y1 * r <= b and b + 1 <= q.y2 * r
+                   for q in self.rects)
+
+    def moves(self, node):
+        a, b = node
+        if a < self.nx and not self._h_blocked(a, b):
+            yield (a + 1, b)
+        if b < self.ny and not self._v_blocked(a, b):
+            yield (a, b + 1)
+
+    def back_moves(self, node):
+        a, b = node
+        if a > 0 and not self._h_blocked(a - 1, b):
+            yield (a - 1, b)
+        if b > 0 and not self._v_blocked(a, b - 1):
+            yield (a, b - 1)
+
+    def _bfs(self, start, step) -> frozenset:
+        if (start, step) in self._cache:
+            return self._cache[start, step]
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for nxt in step(queue.popleft()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        self._cache[start, step] = result = frozenset(seen)
+        return result
+
+    def reachable_from(self, node) -> frozenset:
+        return self._bfs(node, self.moves)
+
+    def coreachable_to(self, node) -> frozenset:
+        return self._bfs(node, self.back_moves)
+
+    def membership(self, x, y) -> bool:
+        a, b = self.node(x), self.node(y)
+        if not (self.valid_node(a) and self.valid_node(b)):
+            return False
+        return a[0] <= b[0] and a[1] <= b[1] and b in self.reachable_from(a)
+
+    def schedule_json(self, x, y):
+        """The schedule's JSON document, or None where there is none."""
+        if not self.membership(x, y):
+            return None
+        a, b, r = self.node(x), self.node(y), self.r
+        good = self.coreachable_to(b)
+        points, actions, cur = [a], [], a
+        while cur != b:
+            options = [n for n in self.moves(cur)
+                       if n in good and n[0] <= b[0] and n[1] <= b[1]]
+            options.sort(key=lambda n: (-(b[0] - cur[0]) if n[0] > cur[0] else -(b[1] - cur[1]),
+                                        0 if n[0] > cur[0] else 1))
+            nxt = options[0]
+            axis = 0 if nxt[0] > cur[0] else 1
+            process = self.prog.process(axis + 1)
+            if cur[axis] % r == 0 and cur[axis] >= r:
+                act = process[cur[axis] // r - 1]
+                if act.op == "P":
+                    actions.append(f"{axis + 1}:{act}")
+            if nxt[axis] % r == 0:
+                act = process[nxt[axis] // r - 1]
+                if act.op == "V":
+                    actions.append(f"{axis + 1}:{act}")
+            points.append(nxt)
+            cur = nxt
+        return {"path": [[p[0] / r, p[1] / r] for p in points], "interleaving": actions}
+
 # ---------------------------------------------------------------------------
 # Independent oracle: natural homology on dense matrices
 # ---------------------------------------------------------------------------
