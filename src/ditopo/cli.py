@@ -13,14 +13,7 @@ import argparse
 import json
 import sys
 
-from .core import check_patch_continuity, check_section, dumps, parse_point
 from .errors import DitopoError
-from .graph import DirectedGraph, build_planner, ditc, gamma
-from .nathom import factorization_diagram, is_bisimilar_to_point
-from .product import parse_torus_point, torus_planner
-from .pv import forbidden_regions, parse_pv, render_svg, schedule
-from .sphere import sphere_gamma
-from . import sphere as sphere_mod
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,19 +22,55 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph(path: str) -> DirectedGraph:
+class _BadInput(Exception):
+    """An input file that parses as JSON but does not describe the object."""
+
+
+def dumps(doc: dict) -> str:
+    """Canonical JSON: every command's stdout."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _load_graph(path: str):
+    from .graph import DirectedGraph
     with open(path, "r", encoding="utf-8") as fh:
-        return DirectedGraph.from_json(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return DirectedGraph.from_json(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _BadInput(f"{path} is not a ditopo graph ({type(exc).__name__}: {exc})") from None
 
 
 def _parse_xy(text: str) -> tuple:
     return tuple(float(c) for c in text.split(","))
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {value}")
+    return value
+
+
+def lattice_grid(text: str) -> int:
+    from .sphere import QUANT
+    value = int(text)
+    if value < QUANT or value % QUANT:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive multiple of {QUANT}, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="ditopo", description=__doc__)
     top.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-    top.add_argument("--json", action="store_true", help="JSON output (the default)")
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("graph", parents=[], help="directed graph operations")
@@ -61,7 +90,7 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("torus", help="directed torus operations")
     tsub = t.add_subparsers(dest="torus_command", required=True)
     p = tsub.add_parser("plan", help="plan on the n-torus")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--from", dest="src", required=True, help="angles in turns, e.g. 0.25,0.5")
     p.add_argument("--to", dest="dst", required=True)
 
@@ -83,7 +112,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--from", dest="src", required=True, help="comma-separated coordinates")
     p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--grid", type=int, default=sphere_mod.QUANT)
+    p.add_argument("--grid", type=lattice_grid, default=None,
+                   help="lattice refinement, a multiple of 16 (default 16)")
 
     n = sub.add_parser("nathom", help="natural homology over trace diagrams")
     nsub = n.add_subparsers(dest="nathom_command", required=True)
@@ -91,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--samples", required=True, help="comma-separated points, e.g. v:b,v:e")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--degree", type=positive_int, default=1)
     p = nsub.add_parser("point-check", help="bisimulation with the constant-Z diagram")
     p.add_argument("file")
     p.add_argument("--samples", required=True)
@@ -100,18 +130,21 @@ def _build_parser() -> _Parser:
     csub = c.add_subparsers(dest="check_command", required=True)
     p = csub.add_parser("section", help="partition + section exactness")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=positive_int, default=1000)
     p = csub.add_parser("continuity", help="sampled Lipschitz certificate")
     p.add_argument("file")
     p.add_argument("--patch", required=True)
-    p.add_argument("--pairs", type=int, default=200)
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--pairs", type=positive_int, default=200)
+    p.add_argument("--eps", type=positive_float, default=0.01)
 
     return top
 
 
 def _run(args) -> str:
+    # each branch imports only the modules its command uses
     if args.command == "graph":
+        from .core import parse_point
+        from .graph import build_planner, ditc, gamma
         g = _load_graph(args.file)
         if args.graph_command == "ditc":
             if getattr(args, "dot", False):
@@ -120,26 +153,26 @@ def _run(args) -> str:
         if args.graph_command == "plan":
             planner = build_planner(g)
             x, y = parse_point(args.src), parse_point(args.dst)
-            path = planner.plan(x, y)
-            patch = planner.claiming_patches(x, y)[0]
-            return dumps({"patch": patch.id, "path": path.to_json()})
+            patch = planner.claim(x, y)
+            return dumps({"patch": patch.id, "path": patch.section(x, y).to_json()})
         oracle = gamma(g)
         member = oracle.membership(parse_point(args.src), parse_point(args.dst))
         return dumps({"member": member})
 
     if args.command == "torus":
+        from .product import parse_torus_point, torus_planner
         planner, report = torus_planner(args.n)
         x = parse_torus_point(args.src, args.n)
         y = parse_torus_point(args.dst, args.n)
-        path = planner.plan(x, y)
-        patch = planner.claiming_patches(x, y)[0]
+        patch = planner.claim(x, y)
         return dumps({
             "ditc": report.to_json(),
             "patch": patch.id,
-            "paths": [p.to_json() for p in path.components],
+            "paths": [p.to_json() for p in patch.section(x, y).components],
         })
 
     if args.command == "pv":
+        from .pv import forbidden_regions, parse_pv, render_svg, schedule
         prog = parse_pv(args.program)
         if args.pv_command == "regions":
             doc = forbidden_regions(prog).to_json()
@@ -157,15 +190,18 @@ def _run(args) -> str:
         return dumps(doc)
 
     if args.command == "sphere":
-        member = sphere_gamma(args.n, _parse_xy(args.src), _parse_xy(args.dst), args.grid)
+        from .sphere import QUANT, sphere_gamma
+        grid = QUANT if args.grid is None else args.grid
+        member = sphere_gamma(args.n, _parse_xy(args.src), _parse_xy(args.dst), grid)
         return dumps({"member": member})
 
     if args.command == "nathom":
+        from .core import parse_point
+        from .nathom import factorization_diagram, h_n, is_bisimilar_to_point
         g = _load_graph(args.file)
         samples = [parse_point(s) for s in args.samples.split(",")]
         diagram = factorization_diagram(g, samples)
         if args.nathom_command == "build":
-            from .nathom import h_n
             diagram = h_n(diagram, args.degree)
             if args.dot:
                 return diagram.to_dot()
@@ -174,6 +210,8 @@ def _run(args) -> str:
         return dumps({"bisimilar_to_point": ok, "certificate": certificate})
 
     if args.command == "check":
+        from .core import check_patch_continuity, check_section
+        from .graph import build_planner
         g = _load_graph(args.file)
         planner = build_planner(g)
         if args.check_command == "section":
@@ -197,7 +235,7 @@ def main(argv=None) -> int:
     except DitopoError as exc:
         print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, _BadInput) as exc:
         print(f"ditopo: cannot read input: {exc}", file=sys.stderr)
         return 1
     print(output)

@@ -18,10 +18,8 @@ shared walk.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
@@ -35,6 +33,7 @@ from .errors import (
     PatchNotFound,
     Unreachable,
 )
+from .record import FrozenRecord, Record
 
 # Tolerance on edge parameters; vertex identity is exact.
 PARAM_TOL = 1e-9
@@ -44,22 +43,24 @@ PARAM_TOL = 1e-9
 # Points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Vertex:
-    vertex: str
+class Vertex(FrozenRecord):
+    __slots__ = _fields = ("vertex",)
+
+    def __init__(self, vertex: str):
+        self.vertex = vertex
 
     def __repr__(self):
         return f"v:{self.vertex}"
 
 
-@dataclass(frozen=True)
-class EdgeInterior:
-    edge: str
-    t: float
+class EdgeInterior(FrozenRecord):
+    __slots__ = _fields = ("edge", "t")
 
-    def __post_init__(self):
-        if not (0.0 < self.t < 1.0):
-            raise InvalidPoint(f"edge parameter must lie strictly in (0,1), got {self.t}")
+    def __init__(self, edge: str, t: float):
+        if not (0.0 < t < 1.0):
+            raise InvalidPoint(f"edge parameter must lie strictly in (0,1), got {t}")
+        self.edge = edge
+        self.t = t
 
     def __repr__(self):
         return f"e:{self.edge}:{self.t:g}"
@@ -148,13 +149,15 @@ def _path_fractions(fractions: Iterable[float]) -> list[float]:
     return fractions
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(FrozenRecord):
     """One forward traversal of (part of) an edge."""
 
-    edge: str
-    t_from: float
-    t_to: float
+    __slots__ = _fields = ("edge", "t_from", "t_to")
+
+    def __init__(self, edge: str, t_from: float, t_to: float):
+        self.edge = edge
+        self.t_from = t_from
+        self.t_to = t_to
 
     @property
     def span(self) -> float:
@@ -347,18 +350,20 @@ def sup_distance(p: DiPath, q: DiPath, samples: int = 64) -> float:
 # Patchworks and complexity reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Patch:
+class Patch(Record):
     """One piece of a patchwork: a membership predicate plus local section."""
 
-    id: str
-    membership: Callable[[object, object], bool]
-    section: Callable[[object, object], object]
-    lipschitz_bound: float
+    __slots__ = _fields = ("id", "membership", "section", "lipschitz_bound")
+
+    def __init__(self, id: str, membership: Callable[[object, object], bool],
+                 section: Callable[[object, object], object], lipschitz_bound: float):
+        self.id = id
+        self.membership = membership
+        self.section = section
+        self.lipschitz_bound = lipschitz_bound
 
 
-@dataclass
-class Patchwork:
+class Patchwork(Record):
     """An ordered partition of a reachability relation into patches.
 
     Order is significant: it records the closed-prefix ordering of the
@@ -367,9 +372,12 @@ class Patchwork:
     planner was built for, so testers can default to it.
     """
 
-    patches: list[Patch]
-    regular: bool = False
-    space: object = None
+    __slots__ = _fields = ("patches", "regular", "space")
+
+    def __init__(self, patches: list[Patch], regular: bool = False, space: object = None):
+        self.patches = patches
+        self.regular = regular
+        self.space = space
 
     def patch_ids(self) -> list[str]:
         return [p.id for p in self.patches]
@@ -383,39 +391,43 @@ class Patchwork:
     def claiming_patches(self, x, y) -> list[Patch]:
         return [p for p in self.patches if p.membership(x, y)]
 
-    def plan(self, x, y):
-        """The section value of the unique patch containing (x, y)."""
+    def claim(self, x, y) -> Patch:
+        """The first of the patches containing (x, y); Unreachable if none does."""
         claiming = self.claiming_patches(x, y)
         if not claiming:
             raise Unreachable(f"no patch contains ({x!r}, {y!r})")
-        return claiming[0].section(x, y)
+        return claiming[0]
+
+    def plan(self, x, y):
+        """The section value of the unique patch containing (x, y)."""
+        return self.claim(x, y).section(x, y)
 
 
 class Reason(str, Enum):
     UNIQUE_TRACES = "UniqueTraces"
-    MULTI_CLASS_LOWER_BOUND = "MultiClassLowerBound"
     FINITE_CONFLICT_TWO_PATCH = "FiniteConflictTwoPatch"
     STRONGLY_CONNECTED_FORMULA = "StronglyConnectedFormula"
     GENERAL_THREE_PATCH = "GeneralThreePatch"
     KNOWN_BUILTIN = "KnownBuiltin"
 
 
-@dataclass
-class DiTCReport:
+class DiTCReport(Record):
     """Certified bounds on directed topological complexity."""
 
-    lower: int
-    upper: int
-    exact: bool
-    reason: Reason
-    patchwork: Optional[Patchwork] = None
+    __slots__ = _fields = ("lower", "upper", "exact", "reason", "patchwork")
 
-    def __post_init__(self):
-        if not (1 <= self.lower <= self.upper):
-            raise ValueError(f"bad bounds: {self.lower}..{self.upper}")
-        if self.exact != (self.lower == self.upper):
+    def __init__(self, lower: int, upper: int, exact: bool, reason: Reason,
+                 patchwork: Optional[Patchwork] = None):
+        self.lower = lower
+        self.upper = upper
+        self.exact = exact
+        self.reason = reason
+        self.patchwork = patchwork
+        if not (1 <= lower <= upper):
+            raise ValueError(f"bad bounds: {lower}..{upper}")
+        if exact != (lower == upper):
             raise ValueError("exact flag must mirror lower == upper")
-        if self.patchwork is not None and len(self.patchwork.patches) != self.upper:
+        if patchwork is not None and len(patchwork.patches) != upper:
             raise ValueError("witness patch count must equal the upper bound")
 
     def to_json(self) -> dict:
@@ -431,12 +443,17 @@ class DiTCReport:
 # Section and continuity testers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SectionCheckReport:
-    samples: int
-    membership_violations: list = field(default_factory=list)
-    endpoint_violations: list = field(default_factory=list)
-    path_violations: list = field(default_factory=list)
+class SectionCheckReport(Record):
+    __slots__ = _fields = ("samples", "membership_violations", "endpoint_violations",
+                           "path_violations")
+
+    def __init__(self, samples: int, membership_violations: Optional[list] = None,
+                 endpoint_violations: Optional[list] = None,
+                 path_violations: Optional[list] = None):
+        self.samples = samples
+        self.membership_violations = [] if membership_violations is None else membership_violations
+        self.endpoint_violations = [] if endpoint_violations is None else endpoint_violations
+        self.path_violations = [] if path_violations is None else path_violations
 
     @property
     def total_violations(self) -> int:
@@ -499,15 +516,20 @@ def check_section(planner: Patchwork, oracle, samples: int = 1000, seed: int = 0
     return report
 
 
-@dataclass
-class ContinuityReport:
-    patch_id: str
-    pairs_requested: int
-    pairs_used: int
-    lipschitz_bound: float
-    max_ratio: float
-    violations: list = field(default_factory=list)
-    worst: Optional[dict] = None
+class ContinuityReport(Record):
+    __slots__ = _fields = ("patch_id", "pairs_requested", "pairs_used", "lipschitz_bound",
+                           "max_ratio", "violations", "worst")
+
+    def __init__(self, patch_id: str, pairs_requested: int, pairs_used: int,
+                 lipschitz_bound: float, max_ratio: float, violations: Optional[list] = None,
+                 worst: Optional[dict] = None):
+        self.patch_id = patch_id
+        self.pairs_requested = pairs_requested
+        self.pairs_used = pairs_used
+        self.lipschitz_bound = lipschitz_bound
+        self.max_ratio = max_ratio
+        self.violations = [] if violations is None else violations
+        self.worst = worst
 
     @property
     def ok(self) -> bool:
@@ -606,8 +628,3 @@ def contraction_homotopy(planner: Patchwork, u: DiPath, t: float) -> DiPath:
     right = u.subpath(1.0 - t / 2.0, 1.0)
     mid = section(left.end(), right.start())
     return concatenate(concatenate(left, mid), right)
-
-
-def dumps(doc: dict) -> str:
-    """Canonical JSON used across CLIs and reports."""
-    return json.dumps(doc, indent=2, sort_keys=True)

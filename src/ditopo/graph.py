@@ -17,7 +17,6 @@ import math
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -35,13 +34,16 @@ from .core import (
     points_equal,
 )
 from .errors import InvalidPoint, NotConnected
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    dst: str
+class Edge(FrozenRecord):
+    __slots__ = _fields = ("id", "src", "dst")
+
+    def __init__(self, id: str, src: str, dst: str):
+        self.id = id
+        self.src = src
+        self.dst = dst
 
 
 class DirectedGraph:
@@ -384,16 +386,18 @@ def classical_tc_graph(g: DirectedGraph) -> int:
 # Trace classes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TraceClassSummary:
+class TraceClassSummary(Record):
     """Distinct reduced edge sequences between two points.
 
     ``count`` is ``math.inf`` when a directed cycle can be inserted along
     some route, in which case ``representatives`` holds at most the cutoff.
     """
 
-    count: float
-    representatives: tuple
+    __slots__ = _fields = ("count", "representatives")
+
+    def __init__(self, count: float, representatives: tuple):
+        self.count = count
+        self.representatives = representatives
 
     @property
     def infinite(self) -> bool:
@@ -491,13 +495,19 @@ def path_from_class(g: DirectedGraph, x: GraphPoint, y: GraphPoint,
 # Complexity tiers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TierInfo:
-    acyclic: bool
-    strongly_connected: bool
-    pair_counts: dict          # (u, v) -> saturating path count, acyclic only
-    multi_pairs: list          # vertex pairs with >= 2 classes
-    interior_unique: bool
+class _TierInfo(Record):
+    __slots__ = _fields = ("acyclic", "strongly_connected", "pair_counts", "multi_pairs",
+                           "interior_unique")
+
+    def __init__(self, acyclic: bool, strongly_connected: bool,
+                 pair_counts: dict,   # (u, v) -> saturating path count, acyclic only
+                 multi_pairs: list,   # vertex pairs with >= 2 classes
+                 interior_unique: bool):
+        self.acyclic = acyclic
+        self.strongly_connected = strongly_connected
+        self.pair_counts = pair_counts
+        self.multi_pairs = multi_pairs
+        self.interior_unique = interior_unique
 
 
 _COUNT_CAP = 8

@@ -29,12 +29,12 @@ morphisms and groups of rank at most r:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import EdgeInterior, GraphPoint, format_point
 from .errors import InfiniteTraceSpace, NotIso
 from .graph import DirectedGraph, gamma, traces_between
+from .record import FrozenRecord, Record
 
 _CLASS_CUTOFF = 4096
 
@@ -57,27 +57,39 @@ def _class_label(trace: tuple) -> str:
     return ".".join(trace) if trace else "const"
 
 
-@dataclass(frozen=True)
-class NatObject:
-    id: str
-    source: str          # formatted sample point
-    target: str
-    trace: tuple         # the edge-id sequence of this object's class
-    basis: tuple         # all classes between (source, target), sorted
+class NatObject(FrozenRecord):
+    __slots__ = _fields = ("id", "source", "target", "trace", "basis")
+
+    def __init__(self, id: str,
+                 source: str,    # formatted sample point
+                 target: str,
+                 trace: tuple,   # the edge-id sequence of this object's class
+                 basis: tuple):  # all classes between (source, target), sorted
+        self.id = id
+        self.source = source
+        self.target = target
+        self.trace = trace
+        self.basis = basis
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class NatMorphism:
-    src: str
-    dst: str
-    alpha: tuple         # extension on the left (new source -> old source)
-    beta: tuple          # extension on the right (old target -> new target)
-    image: tuple         # for each source basis element, its row in the target basis
-    dst_rank: int
+class NatMorphism(FrozenRecord):
+    __slots__ = _fields = ("src", "dst", "alpha", "beta", "image", "dst_rank")
+
+    def __init__(self, src: str, dst: str,
+                 alpha: tuple,   # extension on the left (new source -> old source)
+                 beta: tuple,    # extension on the right (old target -> new target)
+                 image: tuple,   # for each source basis element, its row in the target basis
+                 dst_rank: int):
+        self.src = src
+        self.dst = dst
+        self.alpha = alpha
+        self.beta = beta
+        self.image = image
+        self.dst_rank = dst_rank
 
     @property
     def matrix(self) -> tuple:
@@ -89,14 +101,17 @@ class NatMorphism:
         return sorted(self.image) == list(range(self.dst_rank))
 
 
-@dataclass
-class NatDiagram:
+class NatDiagram(Record):
     """Objects and morphisms, looked up through dict indexes that are built
     on the first lookup: the two lists must not change after that."""
 
-    objects: list
-    morphisms: list
-    _index: tuple = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("objects", "morphisms", "_index")
+    _fields = ("objects", "morphisms")
+
+    def __init__(self, objects: list, morphisms: list):
+        self.objects = objects
+        self.morphisms = morphisms
+        self._index = None
 
     def _indexes(self) -> tuple:
         if self._index is None:

@@ -10,7 +10,6 @@ partition with one continuous section per piece.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -97,19 +96,6 @@ class ProductGamma:
 def product_gamma(factors: Sequence) -> ProductGamma:
     """Membership in the product relation, tested componentwise."""
     return ProductGamma(factors)
-
-
-@dataclass
-class ProductSpace:
-    """Ordered factors, each a reachability oracle plus a regular patchwork."""
-
-    factors: list  # list of (oracle, Patchwork)
-
-    def oracle(self) -> ProductGamma:
-        return ProductGamma([f[0] for f in self.factors])
-
-    def planner(self) -> Patchwork:
-        return product_planner(self.factors)
 
 
 def _index_tuples(sizes: Sequence[int], total: int):

@@ -17,27 +17,31 @@ plus a walk of nx+ny steps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidPoint, PVSyntaxError, UnbalancedLocks, Unreachable
+from .record import FrozenRecord, Record
 
 _ACTION_RE = re.compile(r"^([PV])(\w+)$")
 
 
-@dataclass(frozen=True)
-class Action:
-    op: str         # "P" or "V"
-    semaphore: str
+class Action(FrozenRecord):
+    __slots__ = _fields = ("op", "semaphore")
+
+    def __init__(self, op: str, semaphore: str):
+        self.op = op    # "P" or "V"
+        self.semaphore = semaphore
 
     def __str__(self):
         return f"{self.op}{self.semaphore}"
 
 
-@dataclass(frozen=True)
-class PVProgram:
-    process1: tuple
-    process2: tuple
+class PVProgram(FrozenRecord):
+    __slots__ = _fields = ("process1", "process2")
+
+    def __init__(self, process1: tuple, process2: tuple):
+        self.process1 = process1
+        self.process2 = process2
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -95,15 +99,17 @@ def parse_pv(text: str) -> PVProgram:
 # Forbidden regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(FrozenRecord):
     """An open axis-aligned rectangle in program-step units."""
 
-    semaphore: str
-    x1: int
-    x2: int
-    y1: int
-    y2: int
+    __slots__ = _fields = ("semaphore", "x1", "x2", "y1", "y2")
+
+    def __init__(self, semaphore: str, x1: int, x2: int, y1: int, y2: int):
+        self.semaphore = semaphore
+        self.x1 = x1
+        self.x2 = x2
+        self.y1 = y1
+        self.y2 = y2
 
     def contains_open(self, x: float, y: float) -> bool:
         return self.x1 < x < self.x2 and self.y1 < y < self.y2
@@ -113,9 +119,11 @@ class Rect:
                 "x": [self.x1, self.x2], "y": [self.y1, self.y2]}
 
 
-@dataclass
-class ForbiddenRegion:
-    rectangles: list
+class ForbiddenRegion(Record):
+    __slots__ = _fields = ("rectangles",)
+
+    def __init__(self, rectangles: list):
+        self.rectangles = rectangles
 
     def to_json(self) -> dict:
         return {"rectangles": [r.to_json() for r in self.rectangles]}
@@ -272,14 +280,18 @@ def pv_gamma(prog: PVProgram, resolution: int = 8) -> PVGamma:
 # Schedules
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Schedule:
+class Schedule(Record):
     """A monotone staircase plus the interleaving of actions it induces."""
 
-    program: PVProgram
-    resolution: int
-    points: tuple        # grid corners in step units, monotone
-    interleaving: tuple  # strings "1:Pa", "2:Va", ...
+    __slots__ = _fields = ("program", "resolution", "points", "interleaving")
+
+    def __init__(self, program: PVProgram, resolution: int,
+                 points: tuple,         # grid corners in step units, monotone
+                 interleaving: tuple):  # strings "1:Pa", "2:Va", ...
+        self.program = program
+        self.resolution = resolution
+        self.points = points
+        self.interleaving = interleaving
 
     def to_json(self) -> dict:
         return {

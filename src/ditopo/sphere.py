@@ -19,7 +19,7 @@ from collections import deque
 from typing import Sequence
 
 from .core import DiTCReport, Patch, Patchwork, Reason, locate, span_table
-from .errors import DimensionMismatch, InvalidPoint, Unreachable
+from .errors import DimensionMismatch, InvalidPoint
 
 QUANT = 16          # fixed input quantization denominator
 _COORD_TOL = 1e-9
@@ -290,12 +290,3 @@ def sphere_planner_1() -> Patchwork:
               section_on(_arc_coord_upper, _point_on_upper), 2.0),
     ]
     return Patchwork(patches, regular=True, space=space)
-
-
-def sphere_plan_1(x, y) -> SpherePath:
-    """The planner's path between two square-boundary points."""
-    planner = sphere_planner_1()
-    claiming = planner.claiming_patches(x, y)
-    if not claiming:
-        raise Unreachable(f"no monotone boundary path from {x!r} to {y!r}")
-    return claiming[0].section(x, y)

@@ -9,11 +9,13 @@ import itertools
 import math
 import random
 from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import pytest
 
 from ditopo.core import PARAM_TOL, DiPath, EdgeInterior, Step, Vertex
-from ditopo.errors import NotIso, OutOfRange
+from ditopo.errors import InvalidPoint, NotIso, OutOfRange
 from ditopo.graph import DirectedGraph
 from ditopo.product import ProductPath
 from ditopo.sphere import SpherePath
@@ -678,3 +680,169 @@ def dense_check_bisimulation(d1, d2, relation) -> bool:
         if not closes(d2, d1, b, eta, a, forward=False):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the dataclasses the value classes replaced
+# ---------------------------------------------------------------------------
+#
+# The library's value classes were dataclasses until they became slotted
+# classes with hand-written __init__, __eq__, __hash__ and __repr__.  These
+# are those dataclass definitions, fields, defaults and __post_init__ checks
+# as they were (methods and properties left out), so tests can compare
+# constructor signatures, attributes, repr, equality and hashing.
+# ProductSpace, the twentieth, was deleted rather than converted.
+
+class Dataclasses:
+    # ditopo.core
+    @dataclass(frozen=True)
+    class Vertex:
+        vertex: str
+
+        def __repr__(self):
+            return f"v:{self.vertex}"
+
+    @dataclass(frozen=True)
+    class EdgeInterior:
+        edge: str
+        t: float
+
+        def __post_init__(self):
+            if not (0.0 < self.t < 1.0):
+                raise InvalidPoint(f"edge parameter must lie strictly in (0,1), got {self.t}")
+
+        def __repr__(self):
+            return f"e:{self.edge}:{self.t:g}"
+
+    @dataclass(frozen=True)
+    class Step:
+        edge: str
+        t_from: float
+        t_to: float
+
+    @dataclass
+    class Patch:
+        id: str
+        membership: Callable[[object, object], bool]
+        section: Callable[[object, object], object]
+        lipschitz_bound: float
+
+    @dataclass
+    class Patchwork:
+        patches: list
+        regular: bool = False
+        space: object = None
+
+    @dataclass
+    class DiTCReport:
+        lower: int
+        upper: int
+        exact: bool
+        reason: object
+        patchwork: Optional[object] = None
+
+        def __post_init__(self):
+            if not (1 <= self.lower <= self.upper):
+                raise ValueError(f"bad bounds: {self.lower}..{self.upper}")
+            if self.exact != (self.lower == self.upper):
+                raise ValueError("exact flag must mirror lower == upper")
+            if self.patchwork is not None and len(self.patchwork.patches) != self.upper:
+                raise ValueError("witness patch count must equal the upper bound")
+
+    @dataclass
+    class SectionCheckReport:
+        samples: int
+        membership_violations: list = field(default_factory=list)
+        endpoint_violations: list = field(default_factory=list)
+        path_violations: list = field(default_factory=list)
+
+    @dataclass
+    class ContinuityReport:
+        patch_id: str
+        pairs_requested: int
+        pairs_used: int
+        lipschitz_bound: float
+        max_ratio: float
+        violations: list = field(default_factory=list)
+        worst: Optional[dict] = None
+
+    # ditopo.graph
+    @dataclass(frozen=True)
+    class Edge:
+        id: str
+        src: str
+        dst: str
+
+    @dataclass
+    class TraceClassSummary:
+        count: float
+        representatives: tuple
+
+    @dataclass
+    class _TierInfo:
+        acyclic: bool
+        strongly_connected: bool
+        pair_counts: dict
+        multi_pairs: list
+        interior_unique: bool
+
+    # ditopo.nathom
+    @dataclass(frozen=True)
+    class NatObject:
+        id: str
+        source: str
+        target: str
+        trace: tuple
+        basis: tuple
+
+    @dataclass(frozen=True)
+    class NatMorphism:
+        src: str
+        dst: str
+        alpha: tuple
+        beta: tuple
+        image: tuple
+        dst_rank: int
+
+    @dataclass
+    class NatDiagram:
+        objects: list
+        morphisms: list
+        _index: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    # ditopo.pv
+    @dataclass(frozen=True)
+    class Action:
+        op: str
+        semaphore: str
+
+    @dataclass(frozen=True)
+    class PVProgram:
+        process1: tuple
+        process2: tuple
+
+    @dataclass(frozen=True)
+    class Rect:
+        semaphore: str
+        x1: int
+        x2: int
+        y1: int
+        y2: int
+
+    @dataclass
+    class ForbiddenRegion:
+        rectangles: list
+
+    @dataclass
+    class Schedule:
+        program: object
+        resolution: int
+        points: tuple
+        interleaving: tuple
+
+
+# a dataclass repr names the class by its qualified name; the library's
+# classes are module-level, so these must print as module-level ones do
+for _ref in vars(Dataclasses).values():
+    if isinstance(_ref, type):
+        _ref.__qualname__ = _ref.__name__

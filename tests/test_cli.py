@@ -1,5 +1,6 @@
 """Command dispatch, serialization round-trips, determinism, exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -162,12 +163,117 @@ class TestContract:
         assert main(["graph", "ditc", "/nonexistent/g.json"]) == 1
 
 
-def test_cli_imports_only_the_standard_library():
-    # a fresh interpreter, so that modules this test session loaded do not count
+SUBMODULES = ("cli", "core", "errors", "graph", "nathom", "product", "pv", "record", "sphere")
+
+
+def _probe(statements: str) -> dict:
+    """Run the statements in a fresh interpreter, so that modules this test
+    session loaded do not count.  Returns each stdout line that starts with
+    an upper-case tag, as tag -> set of the line's other words."""
     env = dict(os.environ, PYTHONPATH=str(Path(ditopo.__file__).resolve().parents[1]))
-    probe = ("import sys; before = set(sys.modules); import ditopo.cli; "
-             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
-             " - set(sys.stdlib_module_names) - {'ditopo'}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-c", statements], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return {line.split()[0]: set(line.split()[1:]) for line in out.stdout.splitlines()
+            if line.split() and line.split()[0].isupper()}
+
+
+def _loaded_after(statements: str) -> set:
+    """The modules a fresh interpreter has loaded after the statements."""
+    return _probe(statements + "\nimport sys\nprint('MODULES', *sorted(sys.modules))")["MODULES"]
+
+
+def _main_loads(*argv) -> set:
+    return _loaded_after(f"from ditopo.cli import main\nmain({list(argv)!r})")
+
+
+def test_cli_imports_only_the_standard_library():
+    found = _probe(
+        "import sys\nbefore = set(sys.modules)\nimport ditopo\n"
+        + "".join(f"import ditopo.{m}\n" for m in SUBMODULES)
+        + "print('FOREIGN', *sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+          " - set(sys.stdlib_module_names) - {'ditopo'}))\n"
+        "print('MODULES', *sorted(sys.modules))")
+    assert found["FOREIGN"] == set()
+    assert {f"ditopo.{m}" for m in SUBMODULES} <= found["MODULES"]
+    assert "dataclasses" not in found["MODULES"]
+
+
+def test_importing_the_package_loads_no_submodule():
+    modules = _loaded_after("import ditopo")
+    assert "ditopo" in modules
+    assert not {m for m in modules if m.startswith("ditopo.")}
+    assert "dataclasses" not in modules
+
+
+def test_graph_ditc_loads_only_the_graph_modules(circle_file):
+    modules = _main_loads("graph", "ditc", circle_file)
+    assert {"ditopo.core", "ditopo.graph"} <= modules
+    assert not {f"ditopo.{m}" for m in ("pv", "sphere", "nathom", "product")} & modules
+    assert "dataclasses" not in modules
+
+
+def test_pv_schedule_loads_neither_core_nor_graph():
+    modules = _main_loads("pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0", "--to", "2,2")
+    assert "ditopo.pv" in modules
+    assert not {"ditopo.core", "ditopo.graph"} & modules
+    assert "dataclasses" not in modules
+
+
+def test_exports_resolve_to_the_defining_modules():
+    namespace: dict = {}
+    exec("from ditopo import *", namespace)
+    for name in ditopo.__all__:
+        module = importlib.import_module(f"ditopo.{ditopo._EXPORTS[name]}")
+        assert namespace[name] is getattr(ditopo, name) is getattr(module, name)
+    assert set(ditopo.__all__) <= set(dir(ditopo))
+    assert not set(SUBMODULES) & set(namespace)
+    with pytest.raises(AttributeError):
+        ditopo.no_such_name
+
+
+class TestBadInput:
+    """Inputs refused at the CLI boundary: exit 1, one message, no traceback."""
+
+    @pytest.fixture
+    def bad_graphs(self, tmp_path):
+        paths = {}
+        for name, doc in {
+            "no_edges": {"vertices": ["a"]},
+            "unknown_vertex": {"vertices": ["a"], "edges": [{"id": "e", "src": "a", "dst": "z"}]},
+            "not_an_object": [1, 2],
+        }.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        return paths
+
+    @pytest.mark.parametrize("argv, message", [
+        (["torus", "plan", "--n", "0", "--from", "0", "--to", "0"], "positive integer"),
+        (["sphere", "reach", "-n", "1", "--from", "0,0.5", "--to", "1,0.6", "--grid", "7"],
+         "multiple of 16"),
+        (["check", "section", "@circle", "--samples", "-5"], "positive integer"),
+        (["check", "continuity", "@circle", "--patch", "rest", "--pairs", "0"],
+         "positive integer"),
+        (["check", "continuity", "@circle", "--patch", "rest", "--eps", "-1"],
+         "positive number"),
+        (["nathom", "build", "@circle", "--samples", "v:b", "--degree", "0"],
+         "positive integer"),
+        (["graph", "ditc", "@no_edges"], "KeyError: 'edges'"),
+        (["graph", "plan", "@unknown_vertex", "--from", "v:a", "--to", "v:a"],
+         "unknown vertices"),
+        (["check", "section", "@not_an_object"], "is not a ditopo graph"),
+    ])
+    def test_exits_one_with_a_message(self, capsys, circle_file, bad_graphs, argv, message):
+        files = {"circle": circle_file, **{k: str(v) for k, v in bad_graphs.items()}}
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert message in captured.err.splitlines()[-1]
+
+    def test_grid_defaults_to_16(self, capsys):
+        argv = ["sphere", "reach", "-n", "2", "--from", "0,0.5,0", "--to", "1,0.6,0.3"]
+        default, *explicit = (run(capsys, *argv, *extra)
+                              for extra in ((), ("--grid", "16"), ("--grid", "32")))
+        assert default[0] == 0
+        assert explicit == [default, default]

@@ -37,6 +37,8 @@ class TestPoints:
             EdgeInterior("e", 0.0)
         with pytest.raises(InvalidPoint):
             EdgeInterior("e", 1.0)
+        with pytest.raises(InvalidPoint):
+            EdgeInterior("e", math.nan)
 
     def test_points_equal_tolerance(self):
         assert points_equal(EdgeInterior("e", 0.5), EdgeInterior("e", 0.5 + 1e-12))

@@ -73,14 +73,14 @@ class TestProductPlanner:
             assert [p.id for p in claiming] == [f"G{off}"]
 
     def test_product_space_bundles_factors(self):
-        from ditopo.product import ProductSpace
-        space = ProductSpace([(loop_planner().space, loop_planner()),
-                              (loop_planner().space, loop_planner())])
-        planner = space.planner()
+        factors = [(loop_planner().space, loop_planner()),
+                   (loop_planner().space, loop_planner())]
+        planner = product_planner(factors)
         assert len(planner.patches) == 3
+        oracle = product_gamma([f[0] for f in factors])
         rng = random.Random(8)
-        x = space.oracle().sample_point(rng)
-        assert space.oracle().membership(x, x)
+        x = oracle.sample_point(rng)
+        assert oracle.membership(x, x)
 
     def test_cylinder_interval_times_loop(self):
         factors = [(interval_planner().space, interval_planner()),

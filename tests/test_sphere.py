@@ -12,7 +12,6 @@ from ditopo.sphere import (
     sample_boundary_point,
     sphere_ditc,
     sphere_gamma,
-    sphere_plan_1,
     sphere_planner_1,
 )
 
@@ -95,16 +94,16 @@ class TestSquarePlanner:
         planner = sphere_planner_1()
         claiming = planner.claiming_patches((0.0, 0.0), (1.0, 1.0))
         assert [p.id for p in claiming] == ["lower_right"]
-        path = sphere_plan_1((0.0, 0.0), (1.0, 1.0))
+        path = sphere_planner_1().plan((0.0, 0.0), (1.0, 1.0))
         assert (1.0, 0.0) in path.points
 
     def test_single_face_run(self):
-        path = sphere_plan_1((0.0, 0.5), (0.0, 0.9))
+        path = sphere_planner_1().plan((0.0, 0.5), (0.0, 0.9))
         assert path.points == [(0.0, 0.5), (0.0, 0.9)]
 
     def test_decreasing_pair_unreachable(self):
         with pytest.raises(Unreachable):
-            sphere_plan_1((1.0, 0.5), (0.5, 1.0))
+            sphere_planner_1().plan((1.0, 0.5), (0.5, 1.0))
 
     def test_section_check_clean(self):
         planner = sphere_planner_1()
@@ -119,7 +118,7 @@ class TestSquarePlanner:
             assert rep.max_ratio <= rep.lipschitz_bound + 1e-6
 
     def test_paths_evaluate_monotonically(self):
-        path = sphere_plan_1((0.2, 0.0), (1.0, 0.7))
+        path = sphere_planner_1().plan((0.2, 0.0), (1.0, 0.7))
         prev = path.evaluate(0.0)
         for i in range(1, 33):
             cur = path.evaluate(i / 32)
