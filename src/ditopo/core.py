@@ -4,16 +4,20 @@ A directed path on a graph is stored as a list of forward-traversed edge
 segments; evaluation uses constant speed with respect to the summed
 parameter spans (unit edge length).  Patchworks partition a reachability
 relation into ordered patches, each carrying a local section; the testers
-certify section validity and per-patch Lipschitz continuity by seeded
-sampling.
+certify section validity and per-patch Lipschitz continuity on seeded
+samples of pairs.  The sup distance between two sections is exact: it is
+read at the few fractions where the distance between the paths can peak,
+not at evenly spaced samples.
 
 Planners for other spaces (products, sphere boundaries) plug into the same
 testers by providing path objects with ``start``/``end``/``evaluate``/
 ``evaluate_many``/``validate`` and an oracle with ``membership``/
-``sample_point``/``distance``/``perturb_pair``.  ``evaluate_many`` takes
-fractions in ascending order and returns the points ``evaluate`` would,
-in one walk along the path; ``span_table`` and ``locate`` below are the
-shared walk.
+``sample_point``/``distance``/``sup_fractions``/``perturb_pair``.
+``evaluate_many`` takes fractions in ascending order and returns the
+points ``evaluate`` would, in one walk along the path; ``span_table`` and
+``locate`` below are the shared walk.  ``sup_fractions(p, q)`` returns
+ascending fractions from 0 to 1 between which the distance from p(s) to
+q(s) is convex in s, so its maximum is attained at one of them.
 """
 
 from __future__ import annotations
@@ -135,6 +139,17 @@ def locate(table: list[float], fractions: Iterable[float]) -> list[tuple[int, fl
         i = bisect_left(table, target, i + 1, segments) - 1
         out.append((i, target - table[i]))
     return out
+
+
+def span_fractions(table: list[float]) -> list[float]:
+    """Each entry of a span table as a fraction of its total, ending at
+    exactly 1.0: the path's breakpoints.  A path of zero length has [0, 1]."""
+    total = table[-1]
+    if total <= 0.0:
+        return [0.0, 1.0]
+    fractions = [x / total for x in table]
+    fractions[-1] = 1.0
+    return fractions
 
 
 def _path_fractions(fractions: Iterable[float]) -> list[float]:
@@ -327,23 +342,26 @@ def concatenate(p: DiPath, q: DiPath) -> DiPath:
     return DiPath(p.graph, steps + rest)
 
 
-def path_sup_distance(p, q, distance: Callable, samples: int = 64) -> float:
-    """Max over evenly spaced sample fractions of the point distance between
-    two paths; each path is walked once over all the fractions."""
-    if samples < 2:
-        raise ValueError("need at least 2 sample fractions")
-    fractions = [i / (samples - 1) for i in range(samples)]
+def path_sup_distance(p, q, oracle) -> float:
+    """The exact sup over s in [0, 1] of ``oracle.distance(p(s), q(s))``.
+
+    The distance is convex between consecutive fractions of
+    ``oracle.sup_fractions(p, q)``, so its maximum is one of its values
+    there; each path is walked once over those fractions.
+    """
+    fractions = oracle.sup_fractions(p, q)
+    distance = oracle.distance
     worst = 0.0
     for a, b in zip(p.evaluate_many(fractions), q.evaluate_many(fractions)):
         worst = max(worst, distance(a, b))
     return worst
 
 
-def sup_distance(p: DiPath, q: DiPath, samples: int = 64) -> float:
-    """Sampled sup metric between two paths on the same graph."""
+def sup_distance(p: DiPath, q: DiPath) -> float:
+    """Sup metric between two paths on the same graph, exact."""
     if p.graph is not q.graph and p.graph != q.graph:
         raise ValueError("paths live on different graphs")
-    return path_sup_distance(p, q, p.graph.distance, samples)
+    return path_sup_distance(p, q, p.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +573,18 @@ class ContinuityReport(Record):
 
 def check_patch_continuity(planner: Patchwork, patch_id: str,
                            pair_samples: int = 200, perturbation: float = 0.01,
-                           seed: int = 0, oracle=None,
-                           sup_samples: int = 64) -> ContinuityReport:
+                           seed: int = 0, oracle=None) -> ContinuityReport:
     """Sampled Lipschitz certificate for one patch's section.
 
-    Pairs are drawn from the patch; each endpoint is jittered within its own
-    cell by at most min(perturbation, d(x, y) / 8), which keeps the
+    Pairs are drawn from the patch; each endpoint is jittered within its
+    own cell by at most min(perturbation, d(x, y) / 8), which keeps the
     perturbed pair in the combinatorial regime the pair already occupies
     (sections here are continuous, but not uniformly so near regime
     boundaries, so fixed-scale jitter would manufacture unbounded ratios
     that no declared constant could cover).  Perturbed pairs that leave the
-    relation or the patch are discarded.  Reports the max observed ratio
+    relation or the patch are discarded.  The pairs are sampled, but the
+    sup distance between the two sections of a pair is exact
+    (``path_sup_distance``).  Reports the max observed ratio
     sup_distance / (d(x,x') + d(y,y')) and any sample exceeding the
     declared bound + 1e-6.
     """
@@ -596,7 +615,7 @@ def check_patch_continuity(planner: Patchwork, patch_id: str,
             continue
         p = patch.section(x, y)
         q = patch.section(x2, y2)
-        sup = path_sup_distance(p, q, oracle.distance, sup_samples)
+        sup = path_sup_distance(p, q, oracle)
         ratio = sup / moved
         report.pairs_used += 1
         sample = {"pair": (repr(x), repr(y)), "perturbed": (repr(x2), repr(y2)),

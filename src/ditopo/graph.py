@@ -32,6 +32,7 @@ from .core import (
     Vertex,
     concatenate,
     points_equal,
+    span_fractions,
 )
 from .errors import InvalidPoint, NotConnected
 from .record import FrozenRecord, Record
@@ -153,6 +154,68 @@ class DirectedGraph:
                    ta + from_dst.get(f.src, inf) + bt,
                    ta + from_dst.get(f.dst, inf) + tb)
 
+    def sup_fractions(self, p: DiPath, q: DiPath) -> list[float]:
+        """Ascending fractions from 0 to 1 between which ``distance(p(s), q(s))``
+        is affine in s, so its maximum over [0, 1] is one of its values there.
+
+        Between consecutive breakpoints of the two span tables, each point
+        stays on one cell: a vertex, or an edge at a parameter affine in s.
+        The distance is then the minimum of at most four affine terms (leave
+        through an end of one cell, cross the BFS hop count, enter through
+        an end of the other), plus |a - b| when both points share an edge.
+        Added inside each interval: the zero of a - b, and each fraction
+        where the term attaining the minimum changes.  O(1) work per
+        interval, and there are at most steps(p) + steps(q) intervals.
+        """
+        cells_p, cells_q = _affine_cells(p), _affine_cells(q)
+        out = [0.0]
+        s0, i, j = 0.0, 0, 0
+        while i < len(cells_p) and j < len(cells_q):
+            (end_p, cell_p), (end_q, cell_q) = cells_p[i], cells_q[j]
+            s1 = min(end_p, end_q)
+            if s1 > s0:
+                self._distance_kinks(cell_p, cell_q, s0, s1, out)
+                out.append(s1)
+                s0 = s1
+            i += end_p <= s1
+            j += end_q <= s1
+        return out
+
+    def _distance_kinks(self, cell_p, cell_q, s0: float, s1: float, out: list) -> None:
+        """Append the fractions in (s0, s1) where the distance between a point
+        on ``cell_p`` and one on ``cell_q`` (see ``_affine_cells``) stops being
+        affine in s."""
+        lines = []
+        ports_q = self._ports(cell_q)
+        for u, cu, mu in self._ports(cell_p):
+            hops = self._distances_from(u)
+            for w, cw, mw in ports_q:
+                d = hops.get(w)
+                if d is not None:
+                    lines.append((cu + d + cw, mu + mw))
+        if not (isinstance(cell_p, tuple) and isinstance(cell_q, tuple)
+                and cell_p[0] == cell_q[0]):
+            _min_kinks(lines, s0, s1, out)
+            return
+        # same edge: |a - b| joins the minimum, one affine piece per sign of a - b
+        dc, dm = cell_p[1] - cell_q[1], cell_p[2] - cell_q[2]
+        zero = -dc / dm if dm else s0
+        pieces = [(s0, zero), (zero, s1)] if s0 < zero < s1 else [(s0, s1)]
+        for k, (lo, hi) in enumerate(pieces):
+            if k:
+                out.append(lo)
+            sign = 1.0 if dc + dm * (lo + hi) / 2 >= 0.0 else -1.0
+            _min_kinks(lines + [(sign * dc, sign * dm)], lo, hi, out)
+
+    def _ports(self, cell) -> list:
+        """(vertex, c, m) for each way out of a cell: the point at fraction s
+        lies c + m*s from that vertex along its own cell."""
+        if isinstance(cell, str):
+            return [(cell, 0.0, 0.0)]
+        edge, c, m = cell
+        e = self._edge_map[edge]
+        return [(e.src, c, m), (e.dst, 1.0 - c, -m)]
+
     # -- connectivity --------------------------------------------------------
 
     def undirected_components(self) -> list[frozenset]:
@@ -215,6 +278,38 @@ class DirectedGraph:
 
     def __repr__(self):
         return f"DirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+
+
+def _affine_cells(path: DiPath) -> list:
+    """(end fraction, cell) for each stretch of a path on one cell, in order;
+    the last ends at 1.0.  A cell is a vertex id, or (edge id, c, m) for the
+    edge parameter c + m*s at fraction s."""
+    table = path._spans()
+    total = table[-1]
+    if total <= 0.0:
+        p = path.start()
+        return [(1.0, p.vertex if isinstance(p, Vertex) else (p.edge, p.t, 0.0))]
+    return [(f, (st.edge, st.t_from - a, total))
+            for st, a, f in zip(path.steps, table, span_fractions(table)[1:])
+            if st.span > 0.0]
+
+
+def _min_kinks(lines: list, s0: float, s1: float, out: list) -> None:
+    """Append, ascending, the fractions in (s0, s1) where the minimum of the
+    affine functions ``c + m*s`` given as (c, m) can change which one
+    attains it: each crossing of two lines that both attain the minimum
+    there, up to 1e-9.  The tolerance only adds fractions, so rounding in
+    the crossings cannot drop a kink; O(lines^3), with at most five lines."""
+    kinks = []
+    for k, (c1, m1) in enumerate(lines):
+        for c2, m2 in lines[:k]:
+            if m1 != m2:
+                x = (c2 - c1) / (m1 - m2)
+                if s0 < x < s1:
+                    v = c1 + m1 * x - 1e-9
+                    if all(v <= c + m * x for c, m in lines):
+                        kinks.append(x)
+    out.extend(sorted(kinks))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +391,9 @@ class GammaOracle:
 
     def distance(self, a: GraphPoint, b: GraphPoint) -> float:
         return self.graph.distance(a, b)
+
+    def sup_fractions(self, p: DiPath, q: DiPath) -> list[float]:
+        return self.graph.sup_fractions(p, q)
 
     def perturb_pair(self, pair, eps: float, rng: random.Random):
         """Jitter each endpoint within its own cell by at most eps."""

@@ -79,6 +79,14 @@ class ProductGamma:
     def distance(self, a, b) -> float:
         return sum(f.distance(p, q) for f, p, q in zip(self.factors, a, b))
 
+    def sup_fractions(self, p: ProductPath, q: ProductPath) -> list[float]:
+        """The union of the factors' fractions: between two of them every
+        factor distance is convex in s, and so is their sum."""
+        fractions = set()
+        for f, a, b in zip(self.factors, p.components, q.components):
+            fractions.update(f.sup_fractions(a, b))
+        return sorted(fractions)
+
     def perturb_pair(self, pair, eps: float, rng: random.Random):
         xs, ys = [], []
         for f, a, b in zip(self.factors, *pair):

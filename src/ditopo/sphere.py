@@ -18,7 +18,16 @@ import random
 from collections import deque
 from typing import Sequence
 
-from .core import DiTCReport, Patch, Patchwork, Reason, locate, span_table
+from .core import (
+    DiTCReport,
+    Patch,
+    Patchwork,
+    Reason,
+    _path_fractions,
+    locate,
+    span_fractions,
+    span_table,
+)
 from .errors import DimensionMismatch, InvalidPoint
 
 QUANT = 16          # fixed input quantization denominator
@@ -174,7 +183,8 @@ class SpherePath:
         return self._segments
 
     def evaluate(self, s: float):
-        """The point at fraction s (clamped to [0, 1]) of the total length.
+        """The point at fraction s of the total length; OutOfRange unless
+        s lies in [0, 1] up to PARAM_TOL.
 
         O(points) once for the table, then O(log points) per point.
         """
@@ -185,7 +195,7 @@ class SpherePath:
 
         O(points) once for the table, then O(log points) per fraction.
         """
-        fractions = [min(max(s, 0.0), 1.0) for s in fractions]
+        fractions = _path_fractions(fractions)
         lengths, table = self._spans()
         if table[-1] <= 0.0:
             return [self.points[0]] * len(fractions)
@@ -235,6 +245,11 @@ class SquareBoundaryGamma:
 
     def distance(self, a, b) -> float:
         return sum(abs(c - d) for c, d in zip(a, b))
+
+    def sup_fractions(self, p: SpherePath, q: SpherePath) -> list[float]:
+        """Both paths' breakpoints: between two of them each coordinate
+        difference is affine in s, so the L1 distance is convex."""
+        return sorted(set(span_fractions(p._spans()[1])) | set(span_fractions(q._spans()[1])))
 
     def perturb_pair(self, pair, eps: float, rng: random.Random):
         def jitter(p):

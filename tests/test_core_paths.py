@@ -1,4 +1,4 @@
-"""Points, paths, evaluation, concatenation, and the sampled sup metric."""
+"""Points, paths, evaluation, concatenation, and the exact sup metric."""
 
 import math
 import random
@@ -14,11 +14,19 @@ from ditopo.core import (
     concatenate,
     format_point,
     parse_point,
+    path_sup_distance,
     points_equal,
     sup_distance,
 )
 from ditopo.errors import EndpointMismatch, InvalidPath, InvalidPoint, OutOfRange
-from ditopo.graph import DirectedGraph, directed_circle, directed_interval, directed_loop
+from ditopo.graph import (
+    DirectedGraph,
+    cycle_graph,
+    directed_circle,
+    directed_interval,
+    directed_loop,
+    gamma,
+)
 
 
 @pytest.fixture
@@ -169,10 +177,36 @@ class TestSupDistance:
 
     def test_linear_sections_on_interval(self, interval):
         # the straight sections from 0.2 and 0.3 to 0.7: the distance
-        # |(1-t) * 0.1| is largest at t = 0, which the sample grid contains
+        # |(1-t) * 0.1| is largest at t = 0, the start
         p = DiPath.from_steps(interval, [("e", 0.2, 0.7)])
         q = DiPath.from_steps(interval, [("e", 0.3, 0.7)])
         assert sup_distance(p, q) == approx(0.1, abs=1e-12)
+
+    def test_lap_of_a_two_cycle_peaks_at_its_breakpoint(self):
+        # a -> b -> a is farthest from a at b, fraction 1/2, which no
+        # fraction i/63 of a 64-sample grid hits: that grid read 0.984
+        g = DirectedGraph(["a", "b"], [("e", "a", "b"), ("f", "b", "a")])
+        lap = DiPath.from_steps(g, [("e", 0.0, 1.0), ("f", 0.0, 1.0)])
+        home = DiPath.constant(g, Vertex("a"))
+        assert sup_distance(lap, home) == 1.0
+        assert sup_distance(home, lap) == 1.0
+        assert path_sup_distance(lap, home, gamma(g)) == 1.0
+
+    def test_peak_where_the_shortest_route_switches(self):
+        # on the 3-cycle v0 -> v1 -> v2 -> v0, the point at t on e0 is
+        # min(t + 1, 2 - t) from v2: largest at t = 1/2, inside the one step
+        g = cycle_graph(3)
+        p = DiPath.from_steps(g, [("e0", 0.0, 1.0)])
+        q = DiPath.constant(g, Vertex("v2"))
+        assert g.sup_fractions(p, q) == [0.0, 0.5, 1.0]
+        assert sup_distance(p, q) == 1.5
+
+    def test_same_edge_paths_add_the_zero_of_their_gap(self, interval):
+        # a = 0.6 s and b = 0.3 + 0.2 s meet at s = 3/4
+        p = DiPath.from_steps(interval, [("e", 0.0, 0.6)])
+        q = DiPath.from_steps(interval, [("e", 0.3, 0.5)])
+        assert interval.sup_fractions(p, q) == approx([0.0, 0.75, 1.0], abs=1e-15)
+        assert sup_distance(p, q) == approx(0.3, abs=1e-15)
 
     def test_pseudometric_on_sampled_triples(self, circle):
         rng = random.Random(3)

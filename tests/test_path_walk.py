@@ -4,8 +4,9 @@ Every path type evaluates through one cumulative-span table and one walk
 (``core.span_table`` and ``core.locate``).  These tests hold ``evaluate``,
 ``evaluate_many``, ``length``, ``subpath`` and the sampled sup distance to
 the scans kept in ``conftest`` (exact equality, since both add the same
-floats in the same order), and the lazily filled BFS tables of the graph
-metric to a BFS over subdivided edges.
+floats in the same order), the exact sup distance to sampled ones, and the
+lazily filled BFS tables of the graph metric to a BFS over subdivided
+edges.
 """
 
 import random
@@ -157,6 +158,20 @@ class TestDiPathWalk:
             PATHS[0].evaluate_many([0.0, 1.0 + 2 * PARAM_TOL])
 
 
+@pytest.mark.parametrize("path", [
+    DiPath.from_steps(cycle_graph(3), [("e0", 0.25, 1.0), ("e1", 0.0, 0.5)]),
+    SpherePath([(0.0, 0.25), (0.0, 1.0), (0.5, 1.0)]),
+], ids=["DiPath", "SpherePath"])
+def test_both_path_types_reject_fractions_off_range(path):
+    for s in (1.5, -0.1, 1.0 + 2 * PARAM_TOL):
+        with pytest.raises(OutOfRange):
+            path.evaluate(s)
+    with pytest.raises(OutOfRange):
+        path.evaluate_many([0.0, 1.5])
+    assert path.evaluate(1.0 + PARAM_TOL / 2) == path.end()
+    assert path.evaluate(-PARAM_TOL / 2) == path.start()
+
+
 class TestSphereAndProductWalk:
     def _sphere_paths(self):
         rng = random.Random(7)
@@ -214,20 +229,77 @@ def _section_pairs(planner, rng: random.Random, per_patch: int):
                 used += 1
 
 
+def _walk_sup(p, q, distance, samples: int) -> float:
+    """The max of the distance over evenly spaced fractions, each path
+    walked once by ``evaluate_many``: the sampled sup the exact one replaced."""
+    fractions = [i / (samples - 1) for i in range(samples)]
+    worst = 0.0
+    for a, b in zip(p.evaluate_many(fractions), q.evaluate_many(fractions)):
+        worst = max(worst, distance(a, b))
+    return worst
+
+
+def _length(path) -> float:
+    """Total length; a pair's distance moves by at most the sum of the two
+    lengths per unit of fraction."""
+    if isinstance(path, ProductPath):
+        return sum(_length(c) for c in path.components)
+    if isinstance(path, SpherePath):
+        return sum(sum(abs(c - d) for c, d in zip(a, b))
+                   for a, b in zip(path.points, path.points[1:]))
+    return scan_length(path)
+
+
 def test_sup_distance_equals_per_fraction_scan(corpus):
+    """The walk agrees with the per-fraction scan at 64 and 5 fractions, and
+    the exact sup is never below a sampled one, nor above the 1025-fraction
+    walk by more than the distance can move in half a grid step.
+
+    The 1025-fraction walk costs about 5 ms a pair, so it runs on every
+    torus and square pair and on every twelfth graph pair."""
     rng = random.Random(1812)
     planners = [build_planner(g) for g in corpus]
     planners += [torus_planner(n)[0] for n in (1, 2, 3)] + [sphere_planner_1()]
-    compared = 0
+    compared = dense_compared = 0
     for planner in planners:
-        distance = planner.space.distance
+        oracle = planner.space
+        distance = oracle.distance
         for p, q in _section_pairs(planner, rng, per_patch=3):
-            got = path_sup_distance(p, q, distance)
-            assert repr(got) == repr(scan_sup_distance(p, q, distance))
-            assert repr(path_sup_distance(p, q, distance, 5)) \
+            scan = scan_sup_distance(p, q, distance)
+            assert repr(_walk_sup(p, q, distance, 64)) == repr(scan)
+            assert repr(_walk_sup(p, q, distance, 5)) \
                 == repr(scan_sup_distance(p, q, distance, 5))
+            exact = path_sup_distance(p, q, oracle)
+            assert scan - 1e-12 <= exact, (p, q)
+            if not isinstance(p, DiPath) or compared % 12 == 0:
+                dense = _walk_sup(p, q, distance, 1025)
+                slack = (_length(p) + _length(q)) / 2048
+                assert dense - 1e-12 <= exact <= dense + slack + 1e-12, (p, q)
+                dense_compared += 1
             compared += 1
-    assert compared > 500
+    assert compared > 500 and dense_compared > 150
+
+
+def test_square_sup_peaks_at_the_corner_breakpoint():
+    # the two arcs from (0, 0) to (1, 1) are L1 distance 4s apart up to
+    # s = 1/2, where they reach the opposite corners; 64 samples read 1.968
+    oracle = sphere_planner_1().space
+    up = SpherePath([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    right = SpherePath([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+    assert oracle.sup_fractions(up, right) == [0.0, 0.5, 1.0]
+    assert path_sup_distance(up, right, oracle) == 2.0
+
+
+def test_torus_sup_is_exact_through_its_factors():
+    # a lap of each loop against the base point: each factor is min(s, 1 - s)
+    # from v, so the sum peaks at 1 at s = 1/2, a kink of both factors
+    planner, _ = torus_planner(2)
+    loop = planner.space.factors[0].graph
+    lap = DiPath.from_steps(loop, [("l", 0.0, 1.0)])
+    home = DiPath.constant(loop, Vertex("v"))
+    p, q = ProductPath([lap, lap]), ProductPath([home, home])
+    assert planner.space.sup_fractions(p, q) == [0.0, 0.5, 1.0]
+    assert path_sup_distance(p, q, planner.space) == 1.0
 
 
 class TestLazyDistances:
