@@ -18,17 +18,23 @@ morphisms and groups of rank at most r:
 
 - ``is_bisimilar_to_point``: O(objects + M), one bijection test per
   morphism once every rank is known to be one.
-- ``check_bisimulation``: O(r^3) per relation matrix (an exact Bareiss
-  determinant).  Then, for each relation triple (a, eta, b), one product
-  eta' . F per morphism F out of a and matrix eta' relating F.dst, and one
-  product G . eta per morphism G out of b, at O(r^2) each: eta' . F
-  selects columns of eta' by F's image, and G . eta adds rows of eta into
-  G's image rows.  The two sets of squares are matched by hashing, so no
-  pair (F, G) is compared directly.
+- ``check_bisimulation``: each relation matrix is read in one O(r^2)
+  pass and interned, so equal matrices become one tuple and the exact
+  Bareiss determinant, O(r^3), runs once per distinct matrix.  Then, for
+  each relation triple (a, eta, b), one lookup per morphism F out of a and
+  matrix eta' relating F.dst, and one per morphism G out of b.  The
+  products behind them cost O(r^2) once per distinct (image, matrix):
+  eta' . F selects columns of eta' by F's image, and G . eta adds rows of
+  eta into G's image rows.  Products are interned as well, so the two
+  sets of squares match by hashing (target object, product identity)
+  pairs: no pair (F, G) is compared directly, and no product is hashed
+  per square.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import Sequence
 
 from .core import EdgeInterior, GraphPoint, format_point
@@ -101,6 +107,13 @@ class NatMorphism(FrozenRecord):
         return sorted(self.image) == list(range(self.dst_rank))
 
 
+def _find(by_id: dict, obj_id: str) -> NatObject:
+    try:
+        return by_id[obj_id]
+    except KeyError:
+        raise KeyError(f"no object {obj_id!r}") from None
+
+
 class NatDiagram(Record):
     """Objects and morphisms, looked up through dict indexes that are built
     on the first lookup: the two lists must not change after that."""
@@ -125,10 +138,7 @@ class NatDiagram(Record):
         return self._index
 
     def object(self, obj_id: str) -> NatObject:
-        try:
-            return self._indexes()[0][obj_id]
-        except KeyError:
-            raise KeyError(f"no object {obj_id!r}") from None
+        return _find(self._indexes()[0], obj_id)
 
     def morphisms_from(self, obj_id: str) -> list:
         return list(self._indexes()[1].get(obj_id, ()))
@@ -302,45 +312,63 @@ def is_bisimilar_to_point(diagram: NatDiagram) -> tuple[bool, dict]:
 
 
 def _entries(eta) -> list:
-    """The entries of a (nested) sequence, in row-major order."""
-    if isinstance(eta, (str, bytes)) or not hasattr(eta, "__iter__"):
-        return [eta]
-    entries = []
-    for item in eta:
-        entries += _entries(item)
+    """The entries of nested lists and tuples in row-major order, read in
+    one pass without recursion; anything else (a set, a dict, a generator,
+    a string) is a single entry."""
+    entries, stack = [], [iter((eta,))]
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, (list, tuple)):
+                stack.append(iter(item))
+                break
+            entries.append(item)
+        else:
+            stack.pop()
     return entries
 
 
-def _relation_matrix(eta, o1: NatObject, o2: NatObject) -> tuple:
+def _relation_matrix(eta, o1: NatObject, o2: NatObject, matrices: dict) -> tuple:
     """The rank2 x rank1 integer rows of a relation matrix, from its entries
-    in row-major order; raises ``ValueError`` on a wrong entry count and
-    ``NotIso`` unless it is an integer isomorphism."""
-    entries = _entries(eta)
+    in row-major order, interned in ``matrices`` (which holds only units);
+    raises ``ValueError`` on a wrong entry count and ``NotIso`` unless it
+    is an integer isomorphism."""
     rows, cols = o2.rank, o1.rank
-    if len(entries) != rows * cols:
-        raise ValueError(f"relation matrix between {o1.id!r} and {o2.id!r} has "
-                         f"{len(entries)} entries, not {rows}x{cols}")
-    values = []
-    for v in entries:
-        try:
-            n = int(v)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n != v:
+    matrix = None
+    if (type(eta) in (list, tuple) and len(eta) == rows
+            and {list, tuple}.issuperset(map(type, eta)) and {cols}.issuperset(map(len, eta))):
+        matrix = tuple(map(tuple, eta))          # the usual shape: rows of ints
+        if not {int}.issuperset(map(type, chain.from_iterable(matrix))):
+            matrix = None
+    if matrix is None:
+        values = _entries(eta)
+        if len(values) != rows * cols:
+            raise ValueError(f"relation matrix between {o1.id!r} and {o2.id!r} has "
+                             f"{len(values)} entries, not {rows}x{cols}")
+        for k, v in enumerate(values):
+            try:
+                number = int(v)
+            except (TypeError, ValueError, OverflowError):
+                number = None
+            if number is None or number != v:
+                raise NotIso(f"relation matrix between {o1.id!r} and {o2.id!r} "
+                             f"has the non-integer entry {v!r}")
+            values[k] = number
+        matrix = tuple(zip(*[iter(values)] * cols))
+    interned = matrices.get(matrix) if rows == cols else None
+    if interned is None:
+        if rows != cols or not _is_unit(matrix):
             raise NotIso(f"relation matrix between {o1.id!r} and {o2.id!r} "
-                         f"has the non-integer entry {v!r}")
-        values.append(n)
-    matrix = tuple(tuple(values[r * cols:(r + 1) * cols]) for r in range(rows))
-    if rows != cols or not _is_unit(matrix):
-        raise NotIso(f"relation matrix between {o1.id!r} and {o2.id!r} is not a Z-isomorphism")
-    return matrix
+                         "is not a Z-isomorphism")
+        matrices[matrix] = interned = matrix
+    return interned
 
 
 def _push(g: NatMorphism, eta: tuple, width: int) -> tuple:
     """G . eta: row k of eta added into row ``g.image[k]``."""
-    rows = [(0,) * width] * g.dst_rank
+    zero = (0,) * width
+    rows = [zero] * g.dst_rank
     for k, i in enumerate(g.image):
-        rows[i] = tuple(x + y for x, y in zip(rows[i], eta[k]))
+        rows[i] = eta[k] if rows[i] is zero else tuple(map(add, rows[i], eta[k]))
     return tuple(rows)
 
 
@@ -349,29 +377,54 @@ def check_bisimulation(d1: NatDiagram, d2: NatDiagram, relation: Sequence) -> bo
 
     ``relation`` lists triples (object1_id, matrix, object2_id); each matrix
     must be an integer isomorphism between the named groups, given as its
-    entries in row-major order (nested or flat).  Both heredity clauses are
-    verified as strict commutation of matrices: every morphism out of one
-    side must close a commuting square through some related morphism out of
-    the other.
-    """
-    triples = []
-    related: dict = {}           # object1 id -> [(object2 id, matrix)]
-    for (a, eta, b) in relation:
-        o1 = d1.object(a)
-        m = _relation_matrix(eta, o1, d2.object(b))
-        triples.append((a, m, b, o1.rank))
-        related.setdefault(a, []).append((b, m))
-    out1, out2 = d1._indexes()[1], d2._indexes()[1]
+    entries in row-major order, flat or in nested lists and tuples.  Both
+    heredity clauses are verified as strict commutation of matrices: every
+    morphism out of one side must close a commuting square through some
+    related morphism out of the other.
 
+    Equal matrices are interned to one tuple, so each distinct matrix is
+    tested for unimodularity once, and each product eta' . F or G . eta is
+    computed once per distinct (image, matrix) and interned too; squares
+    then match by target object and product identity.  No cache outlives
+    the call.
+    """
+    by_id1, out1 = d1._indexes()[:2]
+    by_id2, out2 = d2._indexes()[:2]
+    matrices: dict = {}
+    triples = []
+    related: dict = {}           # object1 id -> [(object2 id, matrix, its id)]
+    for (a, eta, b) in relation:
+        o1 = _find(by_id1, a)
+        m = _relation_matrix(eta, o1, _find(by_id2, b), matrices)
+        triples.append((a, m, b, o1.rank))
+        related.setdefault(a, []).append((b, m, id(m)))
+
+    products: dict = {}          # each distinct product, interned
+    selected: dict = {}          # (F.image, id(eta')) -> id(eta' . F)
+    pushed: dict = {}            # (G.image, G.dst_rank, id(eta)) -> id(G . eta)
     for (a, eta, b, width) in triples:
-        # per F out of a: (b', eta' . F) for each eta' relating F.dst to b'
-        selected = [[(b2, tuple(tuple(row[i] for i in f.image) for row in eta2))
-                     for b2, eta2 in related.get(f.dst, ())]
-                    for f in out1.get(a, ())]
-        # per G out of b: (G.dst, G . eta)
-        pushed = {(g.dst, _push(g, eta, width)) for g in out2.get(b, ())}
-        if not all(any(square in pushed for square in row) for row in selected):
-            return False
-        if not pushed.issubset(square for row in selected for square in row):
+        # per F out of a: (b', id(eta' . F)) for each eta' relating F.dst to b'
+        rows, offered = [], []
+        for f in out1.get(a, ()):
+            row = []
+            for b2, eta2, eta2_id in related.get(f.dst, ()):
+                key = (f.image, eta2_id)
+                p = selected.get(key)
+                if p is None:
+                    p = tuple([tuple(map(r.__getitem__, f.image)) for r in eta2])
+                    selected[key] = p = id(products.setdefault(p, p))
+                row.append((b2, p))
+            rows.append(row)
+            offered += row
+        # per G out of b: (G.dst, id(G . eta))
+        squares, eta_id = set(), id(eta)
+        for g in out2.get(b, ()):
+            key = (g.image, g.dst_rank, eta_id)
+            p = pushed.get(key)
+            if p is None:
+                p = _push(g, eta, width)
+                pushed[key] = p = id(products.setdefault(p, p))
+            squares.add((g.dst, p))
+        if any(map(squares.isdisjoint, rows)) or not squares.issubset(offered):
             return False
     return True

@@ -169,6 +169,30 @@ class TestBisimulationChecker:
         assert check_bisimulation(d, d, [("v:b>v:e:top", [1, 0, 0, 1], "v:b>v:e:top")]) \
             == check_bisimulation(d, d, [("v:b>v:e:top", [[1, 0], [0, 1]], "v:b>v:e:top")])
 
+    def test_deep_nesting_reads_without_recursion(self):
+        def nest(eta):
+            for _ in range(5000):
+                eta = [eta]
+            return eta
+
+        point = terminal_diagram()
+        with pytest.raises(NotIso):
+            check_bisimulation(point, point, [("pt", nest([2]), "pt")])
+        with pytest.raises(ValueError):
+            check_bisimulation(point, point, [("pt", nest([1, 1]), "pt")])
+        assert check_bisimulation(point, point, [("pt", nest(1), "pt")])
+
+    def test_only_lists_and_tuples_nest(self):
+        # a set or dict row would be read in hash order, a generator only
+        # once: each is a single entry, which is not an integer
+        point, d = terminal_diagram(), circle_diagram()
+        for eta in ([{1}], [[{1: 1}]], {1: 1}, (v for v in [1]), [iter([1])], "1"):
+            with pytest.raises(NotIso):
+                check_bisimulation(point, point, [("pt", eta, "pt")])
+        with pytest.raises(ValueError):
+            check_bisimulation(d, d, [("v:b>v:e:top", [{1, 0}, {0, 1}], "v:b>v:e:top")])
+        assert check_bisimulation(d, d, [("v:b>v:e:top", ([1, 0], (0, 1)), "v:b>v:e:top")])
+
     def test_circle_cannot_relate_to_terminal(self):
         d = circle_diagram()
         # full pairings hit the iso precondition on the rank-2 groups;

@@ -12,6 +12,7 @@ import random
 import pytest
 from conftest import dense_check_bisimulation, dense_is_bisimilar_to_point
 
+from ditopo import nathom
 from ditopo.core import EdgeInterior, Vertex
 from ditopo.graph import DirectedGraph, directed_circle, directed_interval
 from ditopo.nathom import (
@@ -194,3 +195,96 @@ def test_point_check_on_morphisms_that_disagree_with_their_objects():
     for image, dst_rank in (((0,), 1), ((0, 0), 2), ((1, 0), 2), ((0,), 2), ((), 0)):
         d = NatDiagram([p, q], [NatMorphism("P", "Q", (), (), image, dst_rank)])
         assert is_bisimilar_to_point(d) == dense_is_bisimilar_to_point(d), image
+
+
+# The checker interns equal relation matrices and memoises each product per
+# (image, matrix); these cases would go wrong if it conflated two of them.
+
+def hand_diagram(ranks: dict, arrows: list) -> NatDiagram:
+    """Objects named by ``ranks``, each of its rank; arrows (src, dst, image)."""
+    objects = [NatObject(o, "*", "*", (), tuple((o, k) for k in range(r)))
+               for o, r in ranks.items()]
+    return NatDiagram(objects, [NatMorphism(s, t, (), (), image, ranks[t])
+                                for s, t, image in arrows])
+
+
+def agrees(d1, d2, relation):
+    got = outcome(check_bisimulation, d1, d2, relation)
+    assert got == outcome(dense_check_bisimulation, d1, d2, relation), relation
+    return got
+
+
+def test_one_list_object_as_many_matrices():
+    for name, d in DIAGRAMS:
+        shared = {o.rank: identity(o) for o in d.objects}
+        relation = [(o.id, shared[o.rank], o.id) for o in d.objects]
+        assert agrees(d, d, relation) == ("returns", True), name
+        ones = [o for o in d.objects if o.rank == 1]
+        one = [[1]]
+        if ones:
+            agrees(d, terminal_diagram(), [(o.id, one, "pt") for o in ones])
+
+
+def test_equal_matrices_as_distinct_objects():
+    rng = random.Random(SEED)
+    forms = (identity,
+             lambda o: tuple(map(tuple, identity(o))),
+             lambda o: [v for row in identity(o) for v in row],
+             lambda o: [[float(v) for v in row] for row in identity(o)],
+             lambda o: [tuple(row) if k % 2 else row for k, row in enumerate(identity(o))])
+    for name, d in DIAGRAMS:
+        relation = [(o.id, rng.choice(forms)(o), o.id) for o in d.objects]
+        assert agrees(d, d, relation) == ("returns", True), name
+
+
+def test_shared_unimodular_matrix_with_one_copy_perturbed():
+    shear = [[1, 1], [0, 1]]
+    # three rank-2 objects with their identities, an identity map A -> B and
+    # a swap B -> C
+    d = hand_diagram({"A": 2, "B": 2, "C": 2},
+                     [("A", "A", (0, 1)), ("B", "B", (0, 1)), ("C", "C", (0, 1)),
+                      ("A", "B", (0, 1)), ("B", "C", (1, 0))])
+    answers = set()
+    for perturbed in "ABC":
+        for other in ([[1, 2], [0, 1]], [[1, 0], [1, 1]], [[-1, 1], [0, 1]]):
+            relation = [(o, other if o == perturbed else shear, o) for o in "ABC"]
+            answers.add(agrees(d, d, relation))
+            answers.add(agrees(d, d, [t for t in relation if t[0] != "A"]))
+    assert answers == {("returns", True), ("returns", False)}
+    for name, d in DIAGRAMS:
+        high = [o for o in d.objects if o.rank == 2]
+        for o in high[:2]:
+            agrees(d, d, [(p.id, [[1, 2], [0, 1]] if p is o
+                           else shear if p.rank == 2 else identity(p), p.id)
+                          for p in d.objects])
+
+
+def test_equal_products_into_different_objects():
+    one = hand_diagram({"A": 1, "A1": 1}, [("A", "A1", (0,))])
+    two = hand_diagram({"B": 1, "B1": 1, "B2": 1}, [("B", "B1", (0,)), ("B", "B2", (0,))])
+    for d1, d2, (x, y) in ((one, two, ("A", "B")), (two, one, ("B", "A"))):
+        relation = [(x, [[1]], y), (x + "1", [[1]], y + "1")]
+        assert agrees(d1, d2, relation) == ("returns", False)
+        relation.append(("A1", [[1]], "B2") if d1 is one else ("B2", [[1]], "A1"))
+        assert agrees(d1, d2, relation) == ("returns", True)
+
+
+def test_no_cache_outlives_a_call():
+    def state():
+        return {k: len(v) for k, v in vars(nathom).items()
+                if not k.startswith("__") and isinstance(v, (dict, list, set))}
+
+    before, checked = state(), 0
+    for _, d in DIAGRAMS:
+        ones = [o for o in d.objects if o.rank == 1 and d.morphisms_from(o.id)]
+        if not ones:
+            continue
+        accept = [(o.id, identity(o), o.id) for o in d.objects]
+        reject = [(o.id, [[-1]] if o is ones[0] else identity(o), o.id) for o in d.objects]
+        if dense_check_bisimulation(d, d, reject):
+            continue
+        for relation in (accept, reject, accept, reject, reject, accept):
+            agrees(d, d, relation)
+        checked += 1
+    assert checked >= 5
+    assert state() == before
