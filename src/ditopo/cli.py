@@ -113,7 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="src", required=True, help="comma-separated coordinates")
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--grid", type=lattice_grid, default=None,
-                   help="lattice refinement, a multiple of 16 (default 16)")
+                   help="a multiple of 16 (default 16); validated, does not change the answer")
 
     n = sub.add_parser("nathom", help="natural homology over trace diagrams")
     nsub = n.add_subparsers(dest="nathom_command", required=True)

@@ -68,12 +68,10 @@ class DirectedGraph:
             self._edge_map[e.id] = e
         self._out = {v: [] for v in self.vertices}
         self._in = {v: [] for v in self.vertices}
-        for e in self.edges:
+        # ids are unique, so one sort leaves every adjacency list in id order
+        for e in sorted(self.edges, key=lambda e: e.id):
             self._out[e.src].append(e)
             self._in[e.dst].append(e)
-        for v in self.vertices:
-            self._out[v].sort(key=lambda e: e.id)
-            self._in[v].sort(key=lambda e: e.id)
         self._vertex_dist: dict = {}
         self._gamma: Optional[GammaOracle] = None
 
@@ -500,10 +498,6 @@ class TraceClassSummary(Record):
     @property
     def infinite(self) -> bool:
         return self.count == math.inf
-
-
-def _on_cycle(oracle: GammaOracle, v: str) -> bool:
-    return v in oracle._cyclic
 
 
 def _route_anchors(x: GraphPoint, y: GraphPoint, g: DirectedGraph):

@@ -203,12 +203,6 @@ def turns_to_point(t: float):
     return EdgeInterior("l", t)
 
 
-def point_to_turns(p) -> float:
-    if isinstance(p, Vertex):
-        return 0.0
-    return p.t
-
-
 def parse_torus_point(text: str, n: int):
     coords = [float(part) for part in text.split(",")]
     if len(coords) != n:

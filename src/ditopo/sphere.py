@@ -2,20 +2,20 @@
 
 Points are (n+1)-vectors in [0,1] with at least one coordinate at 0 or 1.
 Reachability means a coordinatewise non-decreasing path inside the
-boundary; it is decided by breadth-first search over monotone unit moves
-on a lattice refinement of the boundary faces.  Inputs are quantized at a
-fixed denominator so refining the lattice provably cannot change answers;
-an exact componentwise pre-check keeps strictly decreasing pairs out.
+boundary.  It has a closed form: x reaches y iff x <= y and either the two
+points share a facet or x_i = 0 and y_j = 1 for some i != j.  ``SphereGamma``
+applies it to the points as given; ``sphere_gamma`` applies it to inputs
+quantized at a fixed denominator, after exact pre-checks that keep strictly
+decreasing pairs out.
 
-For n = 1 the relation has a closed form (the square boundary splits into
-two monotone arcs meeting at the extreme corners), which powers a two-patch
-planner shaped like the directed-circle construction.
+For n = 1 the square boundary splits into two monotone arcs meeting at the
+extreme corners, which gives a two-patch planner shaped like the
+directed-circle construction.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Sequence
 
 from .core import (
@@ -32,8 +32,6 @@ from .errors import DimensionMismatch, InvalidPoint
 
 QUANT = 16          # fixed input quantization denominator
 _COORD_TOL = 1e-9
-
-_reach_cache: dict = {}
 
 
 def check_sphere_point(p: Sequence[float], n: int) -> tuple:
@@ -54,42 +52,39 @@ def check_sphere_point(p: Sequence[float], n: int) -> tuple:
     return tuple(snapped)
 
 
-def _on_lattice_boundary(node: tuple, grid: int) -> bool:
-    return any(c == 0 or c == grid for c in node)
-
-
-def _lattice_reachable(n: int, grid: int, a: tuple, b: tuple) -> bool:
-    """Monotone lattice BFS from a to b within the boundary, boxed by [a, b]."""
-    key = (n, grid, a, b)
-    if key in _reach_cache:
-        return _reach_cache[key]
-    result = False
-    if all(x <= y for x, y in zip(a, b)):
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            cur = queue.popleft()
-            if cur == b:
-                result = True
-                break
-            for i in range(n + 1):
-                if cur[i] >= b[i]:
-                    continue
-                nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
-                if nxt in seen or not _on_lattice_boundary(nxt, grid):
-                    continue
-                seen.add(nxt)
-                queue.append(nxt)
-    _reach_cache[key] = result
-    return result
+def _reaches(x: tuple, y: tuple, top) -> bool:
+    """The closed form on the boundary of [0, top]^(n+1), in O(n): x <= y,
+    and a shared facet (x = y among them) or x_i = 0, y_j = top, i != j."""
+    shared = False
+    zeros, tops = [], []
+    for i in range(len(x)):
+        a, b = x[i], y[i]
+        if b < a:
+            return False
+        if a == 0:
+            if b == 0:
+                shared = True
+            zeros.append(i)
+        if b == top:
+            if a == top:
+                shared = True
+            tops.append(i)
+    if shared:
+        return True
+    for i in zeros:
+        for j in tops:
+            if i != j:
+                return True
+    return False
 
 
 def sphere_gamma(n: int, x: Sequence[float], y: Sequence[float], grid: int = QUANT) -> bool:
     """Whether a monotone boundary path joins x to y.
 
-    ``grid`` sets the lattice refinement (a multiple of the fixed input
-    quantization 16); refining the lattice never changes answers for
-    quantized inputs, which the grid-stability tests confirm.
+    Pairs that are not decided by the exact pre-checks (decreasing, equal,
+    on a shared facet) are decided by the closed form on the points
+    quantized to the 1/16 lattice.  ``grid`` must be a multiple of 16; it
+    does not change any answer.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -105,14 +100,9 @@ def sphere_gamma(n: int, x: Sequence[float], y: Sequence[float], grid: int = QUA
     for a, b in zip(x, y):
         if a == b and a in (0.0, 1.0):
             return True
-    scale = grid // QUANT
-    a = tuple(round(c * QUANT) * scale for c in x)
-    b = tuple(round(c * QUANT) * scale for c in y)
-    if not (_on_lattice_boundary(a, grid) and _on_lattice_boundary(b, grid)):
-        # quantization pushed the point off every facet; boundary forces a 0/1
-        # coordinate exactly, so this cannot happen for validated points
-        raise InvalidPoint("quantized point left the boundary lattice")
-    return _lattice_reachable(n, grid, a, b)
+    a = tuple(round(c * QUANT) for c in x)
+    b = tuple(round(c * QUANT) for c in y)
+    return _reaches(a, b, QUANT)
 
 
 def sphere_ditc(n: int) -> DiTCReport:
@@ -129,8 +119,44 @@ def sample_boundary_point(n: int, rng: random.Random) -> tuple:
     return tuple(side if j == i else rng.uniform(0.0, 1.0) for j in range(n + 1))
 
 
+class SphereGamma:
+    """Exact reachability on the boundary of the (n+1)-cube (the closed form
+    on the points as given, with no quantization), plus the sampling
+    protocol the certifiers use."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def membership(self, x, y) -> bool:
+        return _reaches(check_sphere_point(x, self.n), check_sphere_point(y, self.n), 1.0)
+
+    def sample_point(self, rng: random.Random):
+        return sample_boundary_point(self.n, rng)
+
+    def distance(self, a, b) -> float:
+        return sum(abs(c - d) for c, d in zip(a, b))
+
+    def sup_fractions(self, p: SpherePath, q: SpherePath) -> list[float]:
+        """Both paths' breakpoints: between two of them each coordinate
+        difference is affine in s, so the L1 distance is convex."""
+        return sorted(set(span_fractions(p._spans()[1])) | set(span_fractions(q._spans()[1])))
+
+    def perturb_pair(self, pair, eps: float, rng: random.Random):
+        def jitter(p):
+            out = []
+            for c in p:
+                if c in (0.0, 1.0):
+                    out.append(c)
+                else:
+                    c2 = c + rng.uniform(-eps, eps)
+                    out.append(min(max(c2, 1e-12), 1.0 - 1e-12))
+            return tuple(out)
+        x, y = pair
+        return jitter(x), jitter(y)
+
+
 # ---------------------------------------------------------------------------
-# The square boundary (n = 1): closed form and a 2-patch planner
+# The square boundary (n = 1): two monotone arcs and a 2-patch planner
 # ---------------------------------------------------------------------------
 
 def _on_lower_right(p: tuple) -> bool:
@@ -220,51 +246,6 @@ class SpherePath:
         return f"SpherePath({self.points})"
 
 
-class SquareBoundaryGamma:
-    """Exact reachability on the square boundary, plus the sampling protocol.
-
-    The square boundary is two monotone arcs from (0,0) to (1,1); a pair is
-    reachable exactly when both points sit on a common arc in arc order.
-    Agrees with the lattice oracle on lattice-aligned inputs; off-lattice
-    the lattice oracle quantizes and may differ near corners.
-    """
-
-    n = 1
-
-    def membership(self, x, y) -> bool:
-        x = check_sphere_point(x, 1)
-        y = check_sphere_point(y, 1)
-        if _on_lower_right(x) and _on_lower_right(y) \
-                and _arc_coord_lower(x) <= _arc_coord_lower(y):
-            return True
-        return (_on_upper_left(x) and _on_upper_left(y)
-                and _arc_coord_upper(x) <= _arc_coord_upper(y))
-
-    def sample_point(self, rng: random.Random):
-        return sample_boundary_point(1, rng)
-
-    def distance(self, a, b) -> float:
-        return sum(abs(c - d) for c, d in zip(a, b))
-
-    def sup_fractions(self, p: SpherePath, q: SpherePath) -> list[float]:
-        """Both paths' breakpoints: between two of them each coordinate
-        difference is affine in s, so the L1 distance is convex."""
-        return sorted(set(span_fractions(p._spans()[1])) | set(span_fractions(q._spans()[1])))
-
-    def perturb_pair(self, pair, eps: float, rng: random.Random):
-        def jitter(p):
-            out = []
-            for c in p:
-                if c in (0.0, 1.0):
-                    out.append(c)
-                else:
-                    c2 = c + rng.uniform(-eps, eps)
-                    out.append(min(max(c2, 1e-12), 1.0 - 1e-12))
-            return tuple(out)
-        x, y = pair
-        return jitter(x), jitter(y)
-
-
 def sphere_planner_1() -> Patchwork:
     """Two patches on the square boundary, one per monotone arc.
 
@@ -272,7 +253,7 @@ def sphere_planner_1() -> Patchwork:
     second takes the upper-left pairs minus the degenerate corner pairs the
     arcs share.
     """
-    space = SquareBoundaryGamma()
+    space = SphereGamma(1)
 
     def member_lower(x, y):
         x, y = check_sphere_point(x, 1), check_sphere_point(y, 1)

@@ -18,7 +18,7 @@ from ditopo.core import PARAM_TOL, DiPath, EdgeInterior, Step, Vertex
 from ditopo.errors import InvalidPoint, NotIso, OutOfRange
 from ditopo.graph import DirectedGraph
 from ditopo.product import ProductPath
-from ditopo.sphere import SpherePath
+from ditopo.sphere import SpherePath, check_sphere_point, sample_boundary_point
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 100
@@ -551,6 +551,76 @@ class GridBfsGamma:
             points.append(nxt)
             cur = nxt
         return {"path": [[p[0] / r, p[1] / r] for p in points], "interleaving": actions}
+
+# ---------------------------------------------------------------------------
+# Independent oracle: cube-boundary reachability by lattice search
+# ---------------------------------------------------------------------------
+
+def _on_lattice_boundary(node: tuple, grid: int) -> bool:
+    return any(c == 0 or c == grid for c in node)
+
+
+def _lattice_reachable(n: int, grid: int, a: tuple, b: tuple) -> bool:
+    """Monotone lattice BFS from a to b within the boundary, boxed by [a, b]."""
+    if not all(x <= y for x, y in zip(a, b)):
+        return False
+    seen = {a}
+    queue = deque([a])
+    while queue:
+        cur = queue.popleft()
+        if cur == b:
+            return True
+        for i in range(n + 1):
+            if cur[i] >= b[i]:
+                continue
+            nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
+            if nxt in seen or not _on_lattice_boundary(nxt, grid):
+                continue
+            seen.add(nxt)
+            queue.append(nxt)
+    return False
+
+
+def lattice_sphere_gamma(n: int, x, y, grid: int = 16) -> bool:
+    """``sphere_gamma`` as it was before its closed form: the same point
+    validation and exact pre-checks, then a breadth-first search over
+    monotone unit moves on the boundary of the lattice [0, grid]^(n+1),
+    from x and to y quantized at 1/16."""
+    x, y = check_sphere_point(x, n), check_sphere_point(y, n)
+    if any(b < a - 1e-9 for a, b in zip(x, y)):
+        return False
+    if x == y or any(a == b and a in (0.0, 1.0) for a, b in zip(x, y)):
+        return True
+    scale = grid // 16
+    a = tuple(round(c * 16) * scale for c in x)
+    b = tuple(round(c * 16) * scale for c in y)
+    assert _on_lattice_boundary(a, grid) and _on_lattice_boundary(b, grid)
+    return _lattice_reachable(n, grid, a, b)
+
+
+def sphere_probe_pairs(n: int, rng: random.Random, draws: int) -> list:
+    """Pairs of boundary points of the (n+1)-cube, five per draw: uniform;
+    on the 1/16 lattice; within 1e-9 of the lattice's facets (snapped onto
+    them); just off lattice nodes, where a free coordinate of 0.01
+    quantizes to a facet; and a point against itself lowered by 5e-10."""
+
+    def variants(p):
+        on = tuple(round(c * 16) / 16 for c in p)
+        near = tuple(5e-10 if c == 0.0 else 1.0 - 5e-10 if c == 1.0 else c for c in on)
+        off = tuple(c if c in (0.0, 1.0) else
+                    min(max(round(c * 16) / 16 + rng.choice((-0.01, 0.01)), 0.01), 0.99)
+                    for c in p)
+        return p, on, near, off
+
+    pairs = []
+    for _ in range(draws):
+        xs = variants(sample_boundary_point(n, rng))
+        ys = variants(sample_boundary_point(n, rng))
+        pairs.extend(zip(xs, ys))
+        x = xs[0]
+        pairs.append((x, tuple(c if c in (0.0, 1.0) else c - 5e-10 for c in x)))
+    return pairs
+
 
 # ---------------------------------------------------------------------------
 # Independent oracle: natural homology on dense matrices

@@ -15,6 +15,7 @@ from conftest import (
     all_small_graphs,
     balanced_pv_processes,
     cell_pair_probes,
+    lattice_sphere_gamma,
 )
 from ditopo.core import Vertex, check_patch_continuity, check_section
 from ditopo.errors import InfiniteTraceSpace
@@ -253,8 +254,9 @@ def test_criterion_10_sphere():
         for _ in range(1000):
             x = sample_boundary_point(n, rng)
             y = sample_boundary_point(n, rng)
-            if sphere_gamma(n, x, y, 16) != sphere_gamma(n, x, y, 32):
-                failures.append((n, x, y))
+            for grid in (16, 32):
+                if sphere_gamma(n, x, y, grid) != lattice_sphere_gamma(n, x, y, grid):
+                    failures.append((n, x, y, grid))
     if sphere_gamma(1, (0.0, 0.5), (1.0, 0.6)):
         failures.append(("blocked pair reported reachable",))
     planner = sphere_planner_1()
@@ -266,4 +268,4 @@ def test_criterion_10_sphere():
         if not (rep.exact and rep.lower == rep.upper == 2):
             failures.append((n, rep.to_json()))
     report(10, failures,
-           "grid stability 16 vs 32 (3000 pairs), blocked pair, planner, constant 2")
+           "lattice search at grids 16 and 32 (3000 pairs), blocked pair, planner, constant 2")

@@ -241,6 +241,8 @@ class TestBadInput:
             "no_edges": {"vertices": ["a"]},
             "unknown_vertex": {"vertices": ["a"], "edges": [{"id": "e", "src": "a", "dst": "z"}]},
             "not_an_object": [1, 2],
+            "mixed_ids": {"vertices": ["a", "b"], "edges": [
+                {"id": 1, "src": "a", "dst": "b"}, {"id": "x", "src": "b", "dst": "a"}]},
         }.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(doc))
@@ -261,6 +263,7 @@ class TestBadInput:
         (["graph", "plan", "@unknown_vertex", "--from", "v:a", "--to", "v:a"],
          "unknown vertices"),
         (["check", "section", "@not_an_object"], "is not a ditopo graph"),
+        (["graph", "ditc", "@mixed_ids"], "TypeError: '<' not supported"),
     ])
     def test_exits_one_with_a_message(self, capsys, circle_file, bad_graphs, argv, message):
         files = {"circle": circle_file, **{k: str(v) for k, v in bad_graphs.items()}}

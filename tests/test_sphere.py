@@ -1,13 +1,16 @@
-"""Cube-boundary reachability, lattice stability, and the square planner."""
+"""Cube-boundary reachability against the lattice search, and the square planner."""
 
 import random
+from collections import deque
 
 import pytest
 
+import ditopo.sphere
+from conftest import lattice_sphere_gamma, sphere_probe_pairs
 from ditopo.core import check_patch_continuity, check_section, points_equal
 from ditopo.errors import DimensionMismatch, InvalidPoint, Unreachable
 from ditopo.sphere import (
-    SquareBoundaryGamma,
+    SphereGamma,
     check_sphere_point,
     sample_boundary_point,
     sphere_ditc,
@@ -63,10 +66,31 @@ class TestReachability:
     def test_grid_stability_16_vs_32(self):
         rng = random.Random(2)
         for n in (1, 2, 3):
-            for _ in range(400):
-                x = sample_boundary_point(n, rng)
-                y = sample_boundary_point(n, rng)
-                assert sphere_gamma(n, x, y, 16) == sphere_gamma(n, x, y, 32)
+            for x, y in sphere_probe_pairs(n, rng, 200):
+                for grid in (16, 32):
+                    want = lattice_sphere_gamma(n, x, y, grid)
+                    assert sphere_gamma(n, x, y, grid) == want, (n, x, y, grid)
+
+    def test_off_lattice_pair_keeps_the_lattice_answer(self):
+        # (0, 0.01) quantizes to the corner (0, 0), so the lattice search and
+        # sphere_gamma both say True; the exact relation says False
+        x, y = (0.0, 0.01), (1.0, 0.5)
+        for grid in (16, 32):
+            assert sphere_gamma(1, x, y, grid) == lattice_sphere_gamma(1, x, y, grid) is True
+        assert SphereGamma(1).membership(x, y) is False
+
+    def test_queries_leave_module_state_unchanged(self):
+        def sizes():
+            return {name: len(value) for name, value in vars(ditopo.sphere).items()
+                    if not name.startswith("__")
+                    and isinstance(value, (dict, list, set, deque, bytearray))}
+
+        before = sizes()
+        rng = random.Random(8)
+        for i in range(1000):
+            n = 1 + i % 3
+            sphere_gamma(n, sample_boundary_point(n, rng), sample_boundary_point(n, rng))
+        assert sizes() == before
 
     def test_grid_must_refine_the_quantization(self):
         with pytest.raises(ValueError):
@@ -74,11 +98,23 @@ class TestReachability:
 
     def test_closed_form_matches_lattice_on_aligned_points(self):
         rng = random.Random(3)
-        exact = SquareBoundaryGamma()
-        for _ in range(400):
-            x = tuple(round(c * 16) / 16 for c in sample_boundary_point(1, rng))
-            y = tuple(round(c * 16) / 16 for c in sample_boundary_point(1, rng))
-            assert exact.membership(x, y) == sphere_gamma(1, x, y, 16)
+        for n in (1, 2, 3):
+            exact = SphereGamma(n)
+            for _ in range(400):
+                x = tuple(round(c * 16) / 16 for c in sample_boundary_point(n, rng))
+                y = tuple(round(c * 16) / 16 for c in sample_boundary_point(n, rng))
+                assert exact.membership(x, y) == lattice_sphere_gamma(n, x, y, 16), (x, y)
+
+    def test_closed_form_matches_the_square_planner_arcs(self):
+        rng = random.Random(9)
+        exact, planner = SphereGamma(1), sphere_planner_1()
+        for _ in range(1000):
+            x, y = sample_boundary_point(1, rng), sample_boundary_point(1, rng)
+            if rng.random() < 0.5:
+                x = tuple(round(c * 4) / 4 for c in x)
+                y = tuple(round(c * 4) / 4 for c in y)
+            claimed = bool(planner.claiming_patches(x, y))
+            assert exact.membership(x, y) == claimed, (x, y)
 
 
 class TestDitcConstant:
