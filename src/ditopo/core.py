@@ -12,12 +12,15 @@ not at evenly spaced samples.
 Planners for other spaces (products, sphere boundaries) plug into the same
 testers by providing path objects with ``start``/``end``/``evaluate``/
 ``evaluate_many``/``validate`` and an oracle with ``membership``/
-``sample_point``/``distance``/``sup_fractions``/``perturb_pair``.
-``evaluate_many`` takes fractions in ascending order and returns the
-points ``evaluate`` would, in one walk along the path; ``span_table`` and
-``locate`` below are the shared walk.  ``sup_fractions(p, q)`` returns
-ascending fractions from 0 to 1 between which the distance from p(s) to
-q(s) is convex in s, so its maximum is attained at one of them.
+``sample_point``/``sample_pair``/``distance``/``sup_fractions``/
+``perturb_pair``.  ``sample_pair(rng)`` draws a pair straight from the
+relation, with no retry: its law is that of two independent
+``sample_point`` draws conditioned on ``membership``.  ``evaluate_many``
+takes fractions in ascending order and returns the points ``evaluate``
+would, in one walk along the path; ``span_table`` and ``locate`` below are
+the shared walk.  ``sup_fractions(p, q)`` returns ascending fractions from
+0 to 1 between which the distance from p(s) to q(s) is convex in s, so its
+maximum is attained at one of them.
 """
 
 from __future__ import annotations
@@ -139,6 +142,25 @@ def locate(table: list[float], fractions: Iterable[float]) -> list[tuple[int, fl
         i = bisect_left(table, target, i + 1, segments) - 1
         out.append((i, target - table[i]))
     return out
+
+
+def select_bit(bits: int, k: int) -> int:
+    """The position of the k-th (from 0) set bit of ``bits``.
+
+    Bisection: count the set bits of the low half, then keep the half that
+    holds the k-th one.  The int halves at every step, so an n-bit select
+    costs O(log n) steps and O(n) bit operations in all.
+    """
+    pos, width = 0, bits.bit_length()
+    while width > 1:
+        half = width >> 1
+        low = bits & ((1 << half) - 1)
+        count = low.bit_count()
+        if k < count:
+            bits, width = low, half
+        else:
+            bits, k, pos, width = bits >> half, k - count, pos + half, width - half
+    return pos
 
 
 def span_fractions(table: list[float]) -> list[float]:
@@ -493,14 +515,11 @@ class SectionCheckReport(Record):
         }
 
 
-def sample_pair(oracle, rng: random.Random, max_tries: int = 10000):
-    """One pair drawn from the reachability relation by rejection sampling."""
-    for _ in range(max_tries):
-        x = oracle.sample_point(rng)
-        y = oracle.sample_point(rng)
-        if oracle.membership(x, y):
-            return x, y
-    raise RuntimeError("rejection sampling failed to hit the relation")
+def sample_pair(oracle, rng: random.Random):
+    """One pair drawn straight from the reachability relation:
+    ``oracle.sample_pair(rng)``, two ``sample_point`` draws conditioned on
+    ``membership``.  The certifiers draw every pair through here."""
+    return oracle.sample_pair(rng)
 
 
 def check_section(planner: Patchwork, oracle, samples: int = 1000, seed: int = 0) -> SectionCheckReport:
@@ -598,10 +617,7 @@ def check_patch_continuity(planner: Patchwork, patch_id: str,
     report = ContinuityReport(patch_id=patch_id, pairs_requested=pair_samples,
                               pairs_used=0, lipschitz_bound=bound, max_ratio=0.0)
     for _ in range(pair_samples):
-        try:
-            x, y = sample_pair(oracle, rng)
-        except RuntimeError:
-            break
+        x, y = sample_pair(oracle, rng)
         if not patch.membership(x, y):
             continue
         eps = min(perturbation, oracle.distance(x, y) / 8.0)

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_right
 from collections import deque
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -32,6 +34,7 @@ from .core import (
     Vertex,
     concatenate,
     points_equal,
+    select_bit,
     span_fractions,
 )
 from .errors import InvalidPoint, NotConnected
@@ -53,12 +56,7 @@ class DirectedGraph:
     def __init__(self, vertices: Iterable[str], edges: Iterable):
         self.vertices = tuple(dict.fromkeys(vertices))
         self.vertex_set = frozenset(self.vertices)
-        parsed = []
-        for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
-            parsed.append(e)
-        self.edges = tuple(parsed)
+        self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         self._edge_map = {}
         for e in self.edges:
             if e.id in self._edge_map:
@@ -217,24 +215,14 @@ class DirectedGraph:
     # -- connectivity --------------------------------------------------------
 
     def undirected_components(self) -> list[frozenset]:
-        seen: set[str] = set()
-        comps = []
+        """The vertex sets of the undirected components, each read off the
+        hop-count table of its first vertex."""
+        comps: list = []
+        seen: set = set()
         for v in self.vertices:
-            if v in seen:
-                continue
-            comp = set()
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                if u in comp:
-                    continue
-                comp.add(u)
-                for e in self._out[u] + self._in[u]:
-                    w = e.dst if e.src == u else e.src
-                    if w not in comp:
-                        queue.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if v not in seen:
+                comps.append(frozenset(self._distances_from(v)))
+                seen |= comps[-1]
         return comps
 
     def is_connected(self) -> bool:
@@ -258,13 +246,9 @@ class DirectedGraph:
         return cls(doc["vertices"], [(e["id"], e["src"], e["dst"]) for e in doc["edges"]])
 
     def to_dot(self) -> str:
-        lines = ["digraph {"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for e in self.edges:
-            lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.id}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        lines = [f'  "{v}";' for v in self.vertices]
+        lines += [f'  "{e.src}" -> "{e.dst}" [label="{e.id}"];' for e in self.edges]
+        return "\n".join(["digraph {", *lines, "}"])
 
     def __eq__(self, other):
         if not isinstance(other, DirectedGraph):
@@ -335,23 +319,26 @@ class GammaOracle:
         self._sccs = _strong_components(graph)
         self._order = [v for comp in self._sccs for v in comp]
         self._mask = {v: 1 << i for i, v in enumerate(self._order)}
-        self._reach: dict = {}
-        cyclic = set()
-        start = 0
+        self._reach = self._closure(self._mask)
+        self._cyclic = frozenset([e.src for e in graph.edges if e.src == e.dst]
+                                 + [v for comp in self._sccs if len(comp) > 1 for v in comp])
+        self._pair_table: Optional[tuple] = None  # built by the first sample_pair
+
+    def _closure(self, own: dict) -> dict:
+        """Each vertex's OR of ``own`` over the vertices it reaches, in one
+        sinks-first pass over the components: O(E) big-int ORs."""
+        out: dict = {}
         for comp in self._sccs:
-            bits = ((1 << len(comp)) - 1) << start
-            start += len(comp)
+            bits = 0
             for v in comp:
-                for e in graph.out_edges(v):
-                    # a component's own vertices get their set below
-                    bits |= self._reach.get(e.dst, 0)
-                    if e.dst == v:
-                        cyclic.add(v)
+                # successors inside the component have no entry yet: their
+                # bits come in through ``own``
+                bits |= own[v]
+                for e in self.graph.out_edges(v):
+                    bits |= out.get(e.dst, 0)
             for v in comp:
-                self._reach[v] = bits
-            if len(comp) > 1:
-                cyclic.update(comp)
-        self._cyclic = frozenset(cyclic)
+                out[v] = bits
+        return out
 
     def reaches(self, u: str, v: str) -> bool:
         return self._reach[u] & self._mask.get(v, 0) != 0
@@ -377,15 +364,62 @@ class GammaOracle:
     # -- sampling-space protocol --------------------------------------------
 
     def sample_point(self, rng: random.Random) -> GraphPoint:
-        cells = len(self.graph.vertices) + len(self.graph.edges)
-        idx = rng.randrange(cells)
-        if idx < len(self.graph.vertices):
-            return Vertex(self.graph.vertices[idx])
-        edge = self.graph.edges[idx - len(self.graph.vertices)]
-        t = rng.uniform(0.0, 1.0)
-        while not (0.0 < t < 1.0):
-            t = rng.uniform(0.0, 1.0)
-        return EdgeInterior(edge.id, t)
+        """A uniform cell, then a uniform parameter on an edge cell."""
+        g = self.graph
+        idx = rng.randrange(len(g.vertices) + len(g.edges))
+        if idx < len(g.vertices):
+            return Vertex(g.vertices[idx])
+        return EdgeInterior(g.edges[idx - len(g.vertices)].id, _edge_parameter(rng))
+
+    def sample_pair(self, rng: random.Random) -> tuple:
+        """A pair (x, y) drawn from the relation with no retry.
+
+        The distribution is that of two independent ``sample_point`` draws
+        conditioned on ``membership``.  Cells are numbered vertices first,
+        then edges; L(u) is the set of cells vertex u reaches (the vertices
+        it reaches and the edges whose source it reaches), and the exit
+        vertex of a cell is the vertex itself or the edge's destination.
+        The x cell is drawn with weight 2 |L(exit)|, plus 1 for an edge e
+        whose destination does not reach its source: that extra half pair
+        is y on e itself with x.t <= y.t, drawn as two sorted parameters.
+        Otherwise y is uniform on L(exit), and each edge cell gets a fresh
+        uniform parameter.  One ``randrange`` over the total weight picks
+        both cells: the offset r into the x cell's weight gives y = the
+        (r // 2)-th cell of L, or the extra unit when r // 2 = |L|.
+
+        The tables are built on the first call and kept on the oracle: one
+        (V + E)-bit set of L per strongly connected component, filled by the
+        same sinks-first pass as the vertex bitsets (O(E) big-int ORs, so
+        O(E (V + E) / 64) word operations), plus three lists of V + E
+        entries.  Memory is O(components x (V + E) / 64) words.  A draw is a
+        bisection over the cells plus ``select_bit`` on L: O(log(V + E))
+        steps and O((V + E) / 64) words in all.
+        """
+        if self._pair_table is None:
+            self._pair_table = self._build_pair_table()
+        cum, reach, cells = self._pair_table
+        r = rng.randrange(cum[-1])
+        c = bisect_right(cum, r) - 1
+        k = (r - cum[c]) >> 1
+        if k == reach[c].bit_count():  # the extra unit: y on x's edge, after x
+            s, t = sorted((_edge_parameter(rng), _edge_parameter(rng)))
+            return EdgeInterior(cells[c], s), EdgeInterior(cells[c], t)
+        return _cell_point(cells[c], rng), _cell_point(cells[select_bit(reach[c], k)], rng)
+
+    def _build_pair_table(self) -> tuple:
+        """(cumulative cell weights from 0, the L bitset of each cell's exit,
+        each cell as a Vertex or an edge id)."""
+        g = self.graph
+        nv = len(g.vertices)
+        own = {v: 1 << i for i, v in enumerate(g.vertices)}
+        for j, e in enumerate(g.edges):
+            own[e.src] |= 1 << (nv + j)
+        reach_of = self._closure(own)
+        reach = [reach_of[v] for v in g.vertices] + [reach_of[e.dst] for e in g.edges]
+        weights = [2 * bits.bit_count() + (c >= nv and not bits >> c & 1)
+                   for c, bits in enumerate(reach)]
+        cells = [Vertex(v) for v in g.vertices] + [e.id for e in g.edges]
+        return list(accumulate(weights, initial=0)), reach, cells
 
     def distance(self, a: GraphPoint, b: GraphPoint) -> float:
         return self.graph.distance(a, b)
@@ -403,6 +437,17 @@ class GammaOracle:
             return EdgeInterior(p.edge, t)
         x, y = pair
         return jitter(x), jitter(y)
+
+
+def _edge_parameter(rng: random.Random) -> float:
+    """A uniform parameter strictly inside (0, 1): ``rng.random()``, drawn
+    again in the 2^-53 case that it is 0."""
+    return rng.random() or _edge_parameter(rng)
+
+
+def _cell_point(cell, rng: random.Random) -> GraphPoint:
+    """The vertex itself, or a point at a uniform parameter of the edge id."""
+    return cell if isinstance(cell, Vertex) else EdgeInterior(cell, _edge_parameter(rng))
 
 
 def _strong_components(g: DirectedGraph) -> list:
@@ -748,14 +793,13 @@ def _cycle_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
     velocity along the cycle, the angular gap taken in [0, circumference)."""
     order = _cycle_order(g)
     circumference = float(len(order))
-    edge_pos = {e.id: float(i) for i, e in enumerate(order)}
-    vertex_pos = {e.src: float(i) for i, e in enumerate(order)}
     edge_index = {e.id: i for i, e in enumerate(order)}
+    vertex_pos = {e.src: float(i) for i, e in enumerate(order)}
 
     def position(p: GraphPoint) -> float:
         if isinstance(p, Vertex):
             return vertex_pos[p.vertex]
-        return edge_pos[p.edge] + p.t
+        return edge_index[p.edge] + p.t
 
     def member_diag(x, y):
         return points_equal(x, y)

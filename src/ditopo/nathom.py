@@ -99,9 +99,12 @@ class NatMorphism(FrozenRecord):
 
     @property
     def matrix(self) -> tuple:
-        """Rows of the 0/1 integer matrix, dst-rank x src-rank."""
-        return tuple(tuple(1 if i == row else 0 for i in self.image)
-                     for row in range(self.dst_rank))
+        """Rows of the 0/1 integer matrix, dst-rank x src-rank: one zero row
+        per target basis element, then one entry set per source element."""
+        rows = [[0] * len(self.image) for _ in range(self.dst_rank)]
+        for col, row in enumerate(self.image):
+            rows[row][col] = 1
+        return tuple(map(tuple, rows))
 
     def is_bijection(self) -> bool:
         return sorted(self.image) == list(range(self.dst_rank))

@@ -76,6 +76,13 @@ class ProductGamma:
     def sample_point(self, rng: random.Random):
         return tuple(f.sample_point(rng) for f in self.factors)
 
+    def sample_pair(self, rng: random.Random) -> tuple:
+        """A pair drawn factor by factor: the relation and the measure are
+        both products, so this is ``sample_point`` pairs conditioned on
+        ``membership``, exactly."""
+        xs, ys = zip(*(f.sample_pair(rng) for f in self.factors))
+        return xs, ys
+
     def distance(self, a, b) -> float:
         return sum(f.distance(p, q) for f, p, q in zip(self.factors, a, b))
 
@@ -204,7 +211,10 @@ def turns_to_point(t: float):
 
 
 def parse_torus_point(text: str, n: int):
-    coords = [float(part) for part in text.split(",")]
+    try:
+        coords = [float(part) for part in text.split(",")]
+    except ValueError:
+        raise InvalidPoint(f"expected {n} comma-separated turns, got {text!r}") from None
     if len(coords) != n:
         raise InvalidPoint(f"expected {n} comma-separated turns, got {text!r}")
     return tuple(turns_to_point(c) for c in coords)

@@ -133,6 +133,42 @@ class SphereGamma:
     def sample_point(self, rng: random.Random):
         return sample_boundary_point(self.n, rng)
 
+    def sample_pair(self, rng: random.Random) -> tuple:
+        """A pair drawn from the relation with no retry, distributed as two
+        ``sample_point`` draws conditioned on ``membership``.
+
+        With d = n + 1, almost surely each drawn point lies on exactly one
+        facet, and a reachable pair is one of two kinds:
+        - same facet and side: 2d cases of weight 1, the other n
+          coordinates drawn as sorted pairs;
+        - x_i = 0 and y_j = 1 with i != j: d n cases of weight 2, since
+          x_j <= 1 and 0 <= y_i always hold.  x_j and y_i are uniform, the
+          other n - 1 coordinates sorted pairs.
+        One ``randrange`` over the 2d + 2dn = 2d^2 weight units picks the case.
+        """
+        n = self.n
+        d = n + 1
+        k = rng.randrange(2 * d * d)
+        if k < 2 * d:
+            i, j = k >> 1, None
+            side = float(k & 1)
+        else:
+            i, jj = divmod((k - 2 * d) >> 1, n)
+            j = jj if jj < i else jj + 1
+        xs, ys = [], []
+        for m in range(d):
+            if m == i and j is None:
+                a = b = side
+            elif m == i:
+                a, b = 0.0, rng.random()
+            elif m == j:
+                a, b = rng.random(), 1.0
+            else:
+                a, b = sorted((rng.random(), rng.random()))
+            xs.append(a)
+            ys.append(b)
+        return tuple(xs), tuple(ys)
+
     def distance(self, a, b) -> float:
         return sum(abs(c - d) for c, d in zip(a, b))
 

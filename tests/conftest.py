@@ -267,6 +267,24 @@ class SubdividedMetric:
 
 
 # ---------------------------------------------------------------------------
+# Independent oracle 1e: pairs of the relation by rejection sampling
+# ---------------------------------------------------------------------------
+
+def rejection_sample_pair(oracle, rng: random.Random, max_tries: int = 100000):
+    """Draw two independent ``sample_point``s and retry until the second is
+    reachable from the first: the sampler the certifiers used before each
+    oracle drew pairs straight from its relation.  Its pairs are
+    distributed as two points conditioned on ``membership``, the law every
+    ``sample_pair`` must follow."""
+    for _ in range(max_tries):
+        x = oracle.sample_point(rng)
+        y = oracle.sample_point(rng)
+        if oracle.membership(x, y):
+            return x, y
+    raise RuntimeError("rejection sampling failed to hit the relation")
+
+
+# ---------------------------------------------------------------------------
 # Independent oracle 1d: path evaluation by a linear scan of the steps
 # ---------------------------------------------------------------------------
 #

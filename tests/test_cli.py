@@ -75,6 +75,12 @@ class TestTorusCommand:
         assert len(doc["paths"]) == 2
         assert doc["ditc"]["upper"] == 3
 
+    @pytest.mark.parametrize("point", ["abc", "0.1,x", "0.1"])
+    def test_bad_point_is_a_domain_error(self, capsys, point):
+        code, out = run(capsys, "torus", "plan", "--n", "2", "--from", point, "--to", "0.1,0.9")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidPoint"
+
 
 class TestPvCommands:
     def test_schedule(self, capsys):
