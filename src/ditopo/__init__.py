@@ -22,7 +22,7 @@ _EXPORTS = {
         "concatenate", "contraction_homotopy", "format_point", "parse_point",
         "points_equal", "sup_distance"), "core"),
     **dict.fromkeys((
-        "DirectedGraph", "Edge", "GammaOracle", "TraceClassSummary", "betti1",
+        "CellPlanner", "DirectedGraph", "Edge", "GammaOracle", "TraceClassSummary", "betti1",
         "build_planner", "circle_planner", "classical_tc_graph", "cycle_graph",
         "directed_circle", "directed_interval", "directed_loop", "ditc", "gamma",
         "interval_planner", "is_strongly_connected_dspace", "loop_planner",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import DitopoError
@@ -24,6 +25,10 @@ class _Parser(argparse.ArgumentParser):
 
 class _BadInput(Exception):
     """An input file that parses as JSON but does not describe the object."""
+
+
+class _BadArgument(Exception):
+    """An argument value that the parser accepts but the command cannot use."""
 
 
 def dumps(doc: dict) -> str:
@@ -43,6 +48,14 @@ def _load_graph(path: str):
 
 def _parse_xy(text: str) -> tuple:
     return tuple(float(c) for c in text.split(","))
+
+
+def _position(text: str) -> tuple:
+    """A PV position: two finite coordinates."""
+    xy = _parse_xy(text)
+    if len(xy) != 2 or not all(math.isfinite(c) for c in xy):
+        raise _BadArgument(f"a position is two finite numbers x1,x2; got {text!r}")
+    return xy
 
 
 def positive_int(text: str) -> int:
@@ -100,7 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("program", help='e.g. "Pa.Va.Pb.Vb|Pa.Va.Pb.Vb"')
     p.add_argument("--from", dest="src", required=True, help="x1,x2 in step units")
     p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--resolution", type=int, default=8)
+    p.add_argument("--resolution", type=positive_int, default=8)
     p.add_argument("--svg", help="also write an SVG rendering to this file")
     p = vsub.add_parser("regions", help="forbidden rectangles")
     p.add_argument("program")
@@ -181,7 +194,7 @@ def _run(args) -> str:
                     fh.write(render_svg(prog))
                 doc["svg"] = args.svg
             return dumps(doc)
-        sched = schedule(prog, _parse_xy(args.src), _parse_xy(args.dst), args.resolution)
+        sched = schedule(prog, _position(args.src), _position(args.dst), args.resolution)
         doc = sched.to_json()
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as fh:
@@ -199,7 +212,12 @@ def _run(args) -> str:
         from .core import parse_point
         from .nathom import factorization_diagram, h_n, is_bisimilar_to_point
         g = _load_graph(args.file)
-        samples = [parse_point(s) for s in args.samples.split(",")]
+        try:
+            samples = [parse_point(s) for s in args.samples.split(",")]
+        except DitopoError:
+            raise
+        except ValueError as exc:
+            raise _BadArgument(f"bad --samples point ({exc})") from None
         diagram = factorization_diagram(g, samples)
         if args.nathom_command == "build":
             diagram = h_n(diagram, args.degree)
@@ -237,6 +255,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, _BadInput) as exc:
         print(f"ditopo: cannot read input: {exc}", file=sys.stderr)
+        return 1
+    except _BadArgument as exc:
+        print(f"ditopo: error: {exc}", file=sys.stderr)
         return 1
     print(output)
     return 0

@@ -32,12 +32,11 @@ from .core import (
     Reason,
     Step,
     Vertex,
-    concatenate,
     points_equal,
     select_bit,
     span_fractions,
 )
-from .errors import InvalidPoint, NotConnected
+from .errors import InvalidPoint, NotConnected, Unreachable
 from .record import FrozenRecord, Record
 
 
@@ -676,15 +675,6 @@ def _tier_info(g: DirectedGraph, oracle: GammaOracle) -> _TierInfo:
     return _TierInfo(acyclic, strongly, counts, multi, interior_unique)
 
 
-def _unique_section(g: DirectedGraph):
-    def section(x: GraphPoint, y: GraphPoint) -> DiPath:
-        summary = traces_between(g, x, y, cutoff=2)
-        if summary.count != 1:
-            raise RuntimeError(f"pair ({x!r},{y!r}) does not have a unique trace class")
-        return path_from_class(g, x, y, summary.representatives[0])
-    return section
-
-
 def _lex_shortest_paths(g: DirectedGraph, source: str) -> dict:
     """Lexicographically least shortest edge sequence to each reachable vertex."""
     best = {source: ()}
@@ -703,72 +693,128 @@ def _lex_shortest_paths(g: DirectedGraph, source: str) -> dict:
     return best
 
 
-class _FixedVertexPaths:
-    """A fixed directed path for every reachable ordered vertex pair.
+def _fixed_paths(g: DirectedGraph):
+    """A fixed directed path, as an edge sequence, for every reachable
+    ordered vertex pair; each source's paths are computed on its first query."""
+    by_source: dict = {}
 
-    Each source's paths are computed on its first query.
+    def sequence(u: str, v: str) -> tuple:
+        paths = by_source.get(u)
+        if paths is None:
+            paths = by_source[u] = _lex_shortest_paths(g, u)
+        return paths[v]
+    return sequence
+
+
+# ---------------------------------------------------------------------------
+# Planners as regime tables
+# ---------------------------------------------------------------------------
+
+class CellPlanner(Patchwork):
+    """A patchwork that fixes one patch and one path rule on each regime.
+
+    ``patches`` lists (patch id, Lipschitz bound) in patch order.
+    ``regime(x, y)`` is a hashable key of the pair; ``rule(x, y)``, called
+    on the first pair of a regime that lies in the relation, returns the
+    regime's entry (patch index, data); ``build(k, data, x, y)`` makes the
+    section from an entry.  ``table`` maps each regime queried so far to its
+    entry, and a regime outside the relation gets none.  A claim is one
+    lookup: patch k holds the pairs in the relation whose entry names k.
+    The patches hold the lookup, not the planner, so a dropped planner and
+    its table are freed at once rather than by the cycle collector.
     """
 
-    def __init__(self, g: DirectedGraph):
-        self.g = g
-        self._seq: dict = {}
+    __slots__ = ("table", "regime", "build", "entry")
 
-    def sequence(self, u: str, v: str) -> tuple:
-        paths = self._seq.get(u)
-        if paths is None:
-            paths = self._seq[u] = _lex_shortest_paths(self.g, u)
-        return paths[v]
+    def __init__(self, space, patches, regime, rule, build):
+        table = {}
 
-    def path(self, u: str, v: str) -> DiPath:
-        return path_from_class(self.g, Vertex(u), Vertex(v), self.sequence(u, v))
+        def entry(x, y):
+            """The entry of the pair's regime, filled on first query; None
+            if the pair is outside the relation."""
+            key = regime(x, y)
+            e = table.get(key)
+            if e is None and space.membership(x, y):
+                e = table[key] = rule(x, y)
+            return e
+
+        self.table, self.regime, self.build, self.entry = table, regime, build, entry
+        super().__init__([_cell_patch(entry, build, k, pid, bound)
+                          for k, (pid, bound) in enumerate(patches)], True, space)
+
+    def claiming_patches(self, x, y) -> list:
+        e = self.entry(x, y)
+        return [] if e is None else [self.patches[e[0]]]
 
 
-def _run_to_end(g: DirectedGraph, p: EdgeInterior) -> DiPath:
-    return DiPath(g, [Step(p.edge, p.t, 1.0)])
+def _cell_patch(entry, build, k: int, pid: str, bound: float) -> Patch:
+    def member(x, y):
+        e = entry(x, y)
+        return e is not None and e[0] == k
+
+    def section(x, y):
+        e = entry(x, y)
+        if e is None or e[0] != k:
+            raise Unreachable(f"patch {pid} does not hold ({x!r}, {y!r})")
+        return build(k, e[1], x, y)
+    return Patch(pid, member, section, bound)
 
 
-def _run_from_start(g: DirectedGraph, p: EdgeInterior) -> DiPath:
-    return DiPath(g, [Step(p.edge, 0.0, p.t)])
+def _graph_planner(oracle: GammaOracle, patches, rule, build=None) -> CellPlanner:
+    """A CellPlanner on a graph; by default an entry's data is the edge
+    sequence of its section.
+
+    The regime of (x, y) is (id of x's cell, id of y's cell, code): code is
+    2 for an edge x plus 1 for an edge y, or 4 + o when both points lie
+    inside one edge.  With d = y.t - x.t, o is 0 for d > PARAM_TOL, 1 for
+    0 <= d <= PARAM_TOL, 2 for -PARAM_TOL <= d < 0 and 3 below, so both
+    ``membership`` (x.t <= y.t) and ``points_equal`` (|d| <= PARAM_TOL) are
+    constant on each regime.
+    """
+    g = oracle.graph
+
+    def regime(x, y) -> tuple:
+        a, code = (x.vertex, 0) if isinstance(x, Vertex) else (x.edge, 2)
+        if isinstance(y, Vertex):
+            return a, y.vertex, code
+        if code and a == y.edge:
+            d = y.t - x.t
+            return a, a, 4 if d > PARAM_TOL else 5 if d >= 0.0 else 6 if d >= -PARAM_TOL else 7
+        return a, y.edge, code + 1
+
+    if build is None:
+        def build(k, seq, x, y):
+            return path_from_class(g, x, y, seq)
+    return CellPlanner(oracle, patches, regime, rule, build)
 
 
-def _three_patch_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
-    """The general construction: vertex pairs, mixed pairs, interior pairs."""
-    fixed = _FixedVertexPaths(g)
+def _unique_class(g: DirectedGraph, x: GraphPoint, y: GraphPoint) -> tuple:
+    summary = traces_between(g, x, y, cutoff=2)
+    if summary.count != 1:
+        raise RuntimeError(f"pair ({x!r},{y!r}) does not have a unique trace class")
+    return summary.representatives[0]
 
-    def member_vv(x, y):
-        return isinstance(x, Vertex) and isinstance(y, Vertex) and oracle.membership(x, y)
 
-    def member_mixed(x, y):
-        mixed = isinstance(x, Vertex) != isinstance(y, Vertex)
-        return mixed and oracle.membership(x, y)
+def _three_patch_planner(g: DirectedGraph, oracle: GammaOracle) -> CellPlanner:
+    """The general construction: vertex pairs, mixed pairs, interior pairs.
+    Vertex pairs take a fixed vertex path; an interior end runs to or from
+    its edge's end and joins it; a pair inside one edge with x.t <= y.t
+    stays on it."""
+    fixed = _fixed_paths(g)
 
-    def member_ii(x, y):
-        both = isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior)
-        return both and oracle.membership(x, y)
-
-    def section_vv(x, y):
-        return fixed.path(x.vertex, y.vertex)
-
-    def section_mixed(x, y):
-        if isinstance(x, EdgeInterior):
-            e = g.edge(x.edge)
-            return concatenate(_run_to_end(g, x), fixed.path(e.dst, y.vertex))
-        f = g.edge(y.edge)
-        return concatenate(fixed.path(x.vertex, f.src), _run_from_start(g, y))
-
-    def section_ii(x, y):
+    def rule(x, y):
+        if isinstance(x, Vertex):
+            if isinstance(y, Vertex):
+                return 0, fixed(x.vertex, y.vertex)
+            return 1, fixed(x.vertex, g.edge(y.edge).src) + (y.edge,)
+        if isinstance(y, Vertex):
+            return 1, (x.edge,) + fixed(g.edge(x.edge).dst, y.vertex)
         if x.edge == y.edge and x.t <= y.t:
-            return DiPath(g, [Step(x.edge, x.t, y.t)])
-        e, f = g.edge(x.edge), g.edge(y.edge)
-        middle = fixed.path(e.dst, f.src)
-        return concatenate(concatenate(_run_to_end(g, x), middle), _run_from_start(g, y))
+            return 2, (x.edge,)
+        middle = fixed(g.edge(x.edge).dst, g.edge(y.edge).src)
+        return 2, (x.edge,) + middle + (y.edge,)
 
-    patches = [
-        Patch("F1", member_vv, section_vv, lipschitz_bound=2.0),
-        Patch("F2", member_mixed, section_mixed, lipschitz_bound=2.0),
-        Patch("F3", member_ii, section_ii, lipschitz_bound=2.0),
-    ]
-    return Patchwork(patches, regular=True, space=oracle)
+    return _graph_planner(oracle, [("F1", 2.0), ("F2", 2.0), ("F3", 2.0)], rule)
 
 
 def _cycle_order(g: DirectedGraph) -> list[Edge]:
@@ -788,9 +834,10 @@ def _cycle_order(g: DirectedGraph) -> list[Edge]:
     return order
 
 
-def _cycle_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
+def _cycle_planner(g: DirectedGraph, oracle: GammaOracle) -> CellPlanner:
     """Diagonal pairs get constant paths; the rest run forward with constant
-    velocity along the cycle, the angular gap taken in [0, circumference)."""
+    velocity along the cycle, the angular gap taken in [0, circumference).
+    The table holds only the patch; the forward run is computed per pair."""
     order = _cycle_order(g)
     circumference = float(len(order))
     edge_index = {e.id: i for i, e in enumerate(order)}
@@ -801,16 +848,9 @@ def _cycle_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
             return vertex_pos[p.vertex]
         return edge_index[p.edge] + p.t
 
-    def member_diag(x, y):
-        return points_equal(x, y)
-
-    def member_off(x, y):
-        return not points_equal(x, y)
-
-    def section_diag(x, y):
-        return DiPath.constant(g, x)
-
-    def section_off(x, y):
+    def build(k, _, x, y):
+        if k == 0:
+            return DiPath.constant(g, x)
         gap = (position(y) - position(x)) % circumference
         if gap <= 0.0:
             gap = circumference
@@ -830,44 +870,28 @@ def _cycle_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
                 t = 0.0
         return DiPath(g, steps)
 
-    patches = [
-        Patch("diagonal", member_diag, section_diag, lipschitz_bound=1.0),
-        Patch("offdiagonal", member_off, section_off, lipschitz_bound=2.0),
-    ]
-    return Patchwork(patches, regular=True, space=oracle)
+    return _graph_planner(oracle, [("diagonal", 1.0), ("offdiagonal", 2.0)],
+                          lambda x, y: (0 if points_equal(x, y) else 1, None), build)
 
 
-def _unique_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
-    patches = [Patch("all", oracle.membership, _unique_section(g), lipschitz_bound=2.0)]
-    return Patchwork(patches, regular=True, space=oracle)
+def _unique_planner(g: DirectedGraph, oracle: GammaOracle) -> CellPlanner:
+    return _graph_planner(oracle, [("all", 2.0)], lambda x, y: (0, _unique_class(g, x, y)))
 
 
-def _conflict_planner(g: DirectedGraph, oracle: GammaOracle, multi_pairs) -> Patchwork:
-    fixed = _FixedVertexPaths(g)
+def _conflict_planner(g: DirectedGraph, oracle: GammaOracle, multi_pairs) -> CellPlanner:
+    fixed = _fixed_paths(g)
     conflicts = frozenset(multi_pairs)
 
-    def member_conflict(x, y):
-        return (isinstance(x, Vertex) and isinstance(y, Vertex)
-                and (x.vertex, y.vertex) in conflicts)
+    def rule(x, y):
+        if isinstance(x, Vertex) and isinstance(y, Vertex) and (x.vertex, y.vertex) in conflicts:
+            return 0, fixed(x.vertex, y.vertex)
+        return 1, _unique_class(g, x, y)
 
-    def member_rest(x, y):
-        return oracle.membership(x, y) and not member_conflict(x, y)
-
-    def section_conflict(x, y):
-        return fixed.path(x.vertex, y.vertex)
-
-    patches = [
-        Patch("conflicts", member_conflict, section_conflict, lipschitz_bound=2.0),
-        Patch("rest", member_rest, _unique_section(g), lipschitz_bound=2.0),
-    ]
-    return Patchwork(patches, regular=True, space=oracle)
+    return _graph_planner(oracle, [("conflicts", 2.0), ("rest", 2.0)], rule)
 
 
-def _constant_planner(g: DirectedGraph, oracle: GammaOracle) -> Patchwork:
-    def section(x, y):
-        return DiPath.constant(g, x)
-    return Patchwork([Patch("all", oracle.membership, section, 1.0)],
-                     regular=True, space=oracle)
+def _constant_planner(g: DirectedGraph, oracle: GammaOracle) -> CellPlanner:
+    return _graph_planner(oracle, [("all", 1.0)], lambda x, y: (0, ()))
 
 
 def _connected_report(g: DirectedGraph) -> DiTCReport:
@@ -893,9 +917,10 @@ def _connected_report(g: DirectedGraph) -> DiTCReport:
 def ditc(g: DirectedGraph, combine_components: bool = True) -> DiTCReport:
     """Certified directed-complexity bounds with a witnessing patchwork.
 
-    Disconnected graphs are analyzed per component and the reports combined
-    (the relation splits over components, so patchworks merge index-wise and
-    the value is the max); pass combine_components=False to forbid that.
+    A disconnected graph gets the max of its components' bounds, with the
+    reason of the component whose upper bound is largest, and no witness
+    (``patchwork`` is None); ``build_planner`` refuses such graphs.  Pass
+    combine_components=False to raise NotConnected instead.
     """
     comps = g.undirected_components()
     if len(comps) <= 1:
@@ -982,57 +1007,30 @@ def parallel_edges(k: int) -> DirectedGraph:
     return DirectedGraph(["b", "e"], [(f"e{i}", "b", "e") for i in range(k)])
 
 
+def _arc_planner(g: DirectedGraph, arcs) -> CellPlanner:
+    """One patch per (patch id, edge id) of parallel edges: a pair inside or
+    at the ends of one edge, in order along it, runs along that edge.  Vertex
+    pairs belong to the first patch, and a vertex to itself stays put."""
+    ids = [edge for _, edge in arcs]
+
+    def rule(x, y):
+        if isinstance(x, Vertex) and isinstance(y, Vertex):
+            return 0, () if x == y else (ids[0],)
+        edge = y.edge if isinstance(x, Vertex) else x.edge
+        return ids.index(edge), (edge,)
+
+    return _graph_planner(gamma(g), [(pid, 1.0) for pid, _ in arcs], rule)
+
+
 def interval_planner() -> Patchwork:
     """The global linear section on the directed interval."""
-    g = directed_interval()
-    oracle = gamma(g)
-
-    def coord(p: GraphPoint) -> float:
-        if isinstance(p, Vertex):
-            return 0.0 if p.vertex == "0" else 1.0
-        return p.t
-
-    def section(x, y):
-        return DiPath(g, [Step("e", coord(x), coord(y))])
-
-    return Patchwork([Patch("all", oracle.membership, section, 1.0)],
-                     regular=True, space=oracle)
+    return _arc_planner(directed_interval(), [("all", "e")])
 
 
 def circle_planner() -> Patchwork:
     """Two patches on the directed circle: pairs inside the top interval,
     then pairs inside the bottom interval minus the three shared pairs."""
-    g = directed_circle()
-    oracle = gamma(g)
-
-    def on_arc(p: GraphPoint, edge: str) -> bool:
-        if isinstance(p, Vertex):
-            return True
-        return p.edge == edge
-
-    def coord(p: GraphPoint) -> float:
-        if isinstance(p, Vertex):
-            return 0.0 if p.vertex == "b" else 1.0
-        return p.t
-
-    def member_top(x, y):
-        return on_arc(x, "top") and on_arc(y, "top") and coord(x) <= coord(y)
-
-    def member_bot(x, y):
-        both_vertices = isinstance(x, Vertex) and isinstance(y, Vertex)
-        return (on_arc(x, "bot") and on_arc(y, "bot") and coord(x) <= coord(y)
-                and not both_vertices)
-
-    def section_on(edge):
-        def section(x, y):
-            return DiPath(g, [Step(edge, coord(x), coord(y))])
-        return section
-
-    patches = [
-        Patch("top", member_top, section_on("top"), 1.0),
-        Patch("bot", member_bot, section_on("bot"), 1.0),
-    ]
-    return Patchwork(patches, regular=True, space=oracle)
+    return _arc_planner(directed_circle(), [("top", "top"), ("bot", "bot")])
 
 
 def loop_planner() -> Patchwork:

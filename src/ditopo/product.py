@@ -12,16 +12,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import (
-    DiTCReport,
-    EdgeInterior,
-    Patch,
-    Patchwork,
-    Reason,
-    Vertex,
-)
-from .errors import InvalidPoint, NotRegular, Unreachable
-from .graph import loop_planner
+from .core import DiTCReport, EdgeInterior, Reason, Vertex
+from .errors import InvalidPoint, NotRegular
+from .graph import CellPlanner, loop_planner
 
 
 class ProductPath:
@@ -113,67 +106,39 @@ def product_gamma(factors: Sequence) -> ProductGamma:
     return ProductGamma(factors)
 
 
-def _index_tuples(sizes: Sequence[int], total: int):
-    if not sizes:
-        if total == 0:
-            yield ()
-        return
-    head, rest = sizes[0], sizes[1:]
-    for j in range(min(head - 1, total) + 1):
-        for tail in _index_tuples(rest, total - j):
-            yield (j,) + tail
+def product_planner(factors: Sequence) -> CellPlanner:
+    """Combine one regular graph planner per factor into the graded patchwork.
 
-
-def product_planner(factors: Sequence) -> Patchwork:
-    """Combine one regular patchwork per factor into the graded patchwork.
-
-    Patch G_j holds the pairs whose per-factor patch indices sum to j;
-    its section applies the factor sections componentwise.
+    Patch G_j holds the pairs whose per-factor patch indices sum to j; its
+    section applies the factor sections componentwise.  The regime of a
+    pair is the tuple of its factors' regimes, so the grade and the factor
+    entries are looked up once per regime: one claim is one lookup.
     """
     oracles = [f[0] for f in factors]
     planners = [f[1] for f in factors]
     for p in planners:
         if not p.regular:
             raise NotRegular("every factor patchwork must carry the ordered-regular flag")
-    sizes = [len(p.patches) for p in planners]
-    top = sum(s - 1 for s in sizes)
+        if not isinstance(p, CellPlanner):
+            raise TypeError("every factor must be a graph planner (a CellPlanner)")
+    top = sum(len(p.patches) - 1 for p in planners)
     space = ProductGamma(oracles)
 
-    def factor_index(i: int, a, b) -> int:
-        for k, patch in enumerate(planners[i].patches):
-            if patch.membership(a, b):
-                return k
-        return -1
+    def regime(x, y) -> tuple:
+        if len(x) != len(planners) or len(y) != len(planners):
+            space.membership(x, y)  # raises InvalidPoint
+        return tuple([p.regime(a, b) for p, a, b in zip(planners, x, y)])
 
-    def grade(x, y) -> int:
-        total = 0
-        for i, (a, b) in enumerate(zip(x, y)):
-            k = factor_index(i, a, b)
-            if k < 0:
-                return -1
-            total += k
-        return total
+    def rule(x, y):
+        entries = [p.entry(a, b) for p, a, b in zip(planners, x, y)]
+        return sum(k for k, _ in entries), entries
 
-    def make_patch(j: int) -> Patch:
-        def member(x, y):
-            if len(x) != len(oracles) or len(y) != len(oracles):
-                return False
-            return grade(x, y) == j
+    def build(j, entries, x, y):
+        return ProductPath([p.build(k, data, a, b)
+                            for p, (k, data), a, b in zip(planners, entries, x, y)])
 
-        def section(x, y):
-            parts = []
-            for i, (a, b) in enumerate(zip(x, y)):
-                k = factor_index(i, a, b)
-                if k < 0:
-                    raise Unreachable(f"coordinate {i} pair ({a!r},{b!r}) is unreachable")
-                parts.append(planners[i].patches[k].section(a, b))
-            return ProductPath(parts)
-
-        bound = max(p.lipschitz_bound for planner in planners for p in planner.patches)
-        return Patch(f"G{j}", member, section, bound)
-
-    patches = [make_patch(j) for j in range(top + 1)]
-    return Patchwork(patches, regular=True, space=space)
+    bound = max(p.lipschitz_bound for planner in planners for p in planner.patches)
+    return CellPlanner(space, [(f"G{j}", bound) for j in range(top + 1)], regime, rule, build)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +155,7 @@ def torus_factors(n: int) -> list:
     return factors
 
 
-def torus_planner(n: int) -> tuple[Patchwork, DiTCReport]:
+def torus_planner(n: int) -> tuple[CellPlanner, DiTCReport]:
     """The graded planner on the n-torus of directed loops; complexity n + 1.
 
     The upper bound is the graded patch count; the matching lower bound is

@@ -14,10 +14,33 @@ from typing import Callable, Optional
 
 import pytest
 
-from ditopo.core import PARAM_TOL, DiPath, EdgeInterior, Step, Vertex
-from ditopo.errors import InvalidPoint, NotIso, OutOfRange
-from ditopo.graph import DirectedGraph
-from ditopo.product import ProductPath
+from ditopo.core import (
+    PARAM_TOL,
+    DiPath,
+    EdgeInterior,
+    Patch,
+    Patchwork,
+    Reason,
+    Step,
+    Vertex,
+    concatenate,
+    points_equal,
+)
+from ditopo.errors import InvalidPoint, NotIso, OutOfRange, Unreachable
+from ditopo.graph import (
+    DirectedGraph,
+    _cycle_order,
+    _fixed_paths,
+    _tier_info,
+    directed_circle,
+    directed_interval,
+    directed_loop,
+    ditc,
+    gamma,
+    path_from_class,
+    traces_between,
+)
+from ditopo.product import ProductGamma, ProductPath
 from ditopo.sphere import SpherePath, check_sphere_point, sample_boundary_point
 
 CORPUS_SEED = 20260810
@@ -282,6 +305,288 @@ def rejection_sample_pair(oracle, rng: random.Random, max_tries: int = 100000):
         if oracle.membership(x, y):
             return x, y
     raise RuntimeError("rejection sampling failed to hit the relation")
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle 1f: graph planners as lists of closures
+# ---------------------------------------------------------------------------
+#
+# The planners as they were before each became a table keyed by regime:
+# every patch's membership asks the oracle (or compares points) again, and
+# every section is rebuilt from the pair alone, by trace enumeration or by
+# concatenating fixed pieces.  The tables must claim the same patch and
+# build the same path on every pair.
+
+def _run_to_end(g, p):
+    return DiPath(g, [Step(p.edge, p.t, 1.0)])
+
+
+def _run_from_start(g, p):
+    return DiPath(g, [Step(p.edge, 0.0, p.t)])
+
+
+def _closure_unique_section(g):
+    def section(x, y):
+        summary = traces_between(g, x, y, cutoff=2)
+        if summary.count != 1:
+            raise RuntimeError(f"pair ({x!r},{y!r}) does not have a unique trace class")
+        return path_from_class(g, x, y, summary.representatives[0])
+    return section
+
+
+def _closure_fixed_path(g):
+    sequence = _fixed_paths(g)
+
+    def path(u, v):
+        return path_from_class(g, Vertex(u), Vertex(v), sequence(u, v))
+    return path
+
+
+def closure_three_patch_planner(g):
+    """Vertex pairs, mixed pairs, interior pairs."""
+    oracle = gamma(g)
+    fixed = _closure_fixed_path(g)
+
+    def member_vv(x, y):
+        return isinstance(x, Vertex) and isinstance(y, Vertex) and oracle.membership(x, y)
+
+    def member_mixed(x, y):
+        mixed = isinstance(x, Vertex) != isinstance(y, Vertex)
+        return mixed and oracle.membership(x, y)
+
+    def member_ii(x, y):
+        both = isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior)
+        return both and oracle.membership(x, y)
+
+    def section_vv(x, y):
+        return fixed(x.vertex, y.vertex)
+
+    def section_mixed(x, y):
+        if isinstance(x, EdgeInterior):
+            e = g.edge(x.edge)
+            return concatenate(_run_to_end(g, x), fixed(e.dst, y.vertex))
+        f = g.edge(y.edge)
+        return concatenate(fixed(x.vertex, f.src), _run_from_start(g, y))
+
+    def section_ii(x, y):
+        if x.edge == y.edge and x.t <= y.t:
+            return DiPath(g, [Step(x.edge, x.t, y.t)])
+        e, f = g.edge(x.edge), g.edge(y.edge)
+        middle = fixed(e.dst, f.src)
+        return concatenate(concatenate(_run_to_end(g, x), middle), _run_from_start(g, y))
+
+    patches = [
+        Patch("F1", member_vv, section_vv, lipschitz_bound=2.0),
+        Patch("F2", member_mixed, section_mixed, lipschitz_bound=2.0),
+        Patch("F3", member_ii, section_ii, lipschitz_bound=2.0),
+    ]
+    return Patchwork(patches, regular=True, space=oracle)
+
+
+def closure_cycle_planner(g):
+    """Diagonal pairs get constant paths; the rest run forward."""
+    oracle = gamma(g)
+    order = _cycle_order(g)
+    circumference = float(len(order))
+    edge_index = {e.id: i for i, e in enumerate(order)}
+    vertex_pos = {e.src: float(i) for i, e in enumerate(order)}
+
+    def position(p):
+        if isinstance(p, Vertex):
+            return vertex_pos[p.vertex]
+        return edge_index[p.edge] + p.t
+
+    def member_diag(x, y):
+        return points_equal(x, y)
+
+    def member_off(x, y):
+        return not points_equal(x, y)
+
+    def section_diag(x, y):
+        return DiPath.constant(g, x)
+
+    def section_off(x, y):
+        gap = (position(y) - position(x)) % circumference
+        if gap <= 0.0:
+            gap = circumference
+        if isinstance(x, Vertex):
+            idx, t = edge_index[g.out_edges(x.vertex)[0].id], 0.0
+        else:
+            idx, t = edge_index[x.edge], x.t
+        steps = []
+        left = gap
+        while left > PARAM_TOL:
+            take = min(1.0 - t, left)
+            steps.append(Step(order[idx].id, t, t + take))
+            left -= take
+            t += take
+            if t >= 1.0 - PARAM_TOL:
+                idx = (idx + 1) % len(order)
+                t = 0.0
+        return DiPath(g, steps)
+
+    patches = [
+        Patch("diagonal", member_diag, section_diag, lipschitz_bound=1.0),
+        Patch("offdiagonal", member_off, section_off, lipschitz_bound=2.0),
+    ]
+    return Patchwork(patches, regular=True, space=oracle)
+
+
+def closure_unique_planner(g):
+    oracle = gamma(g)
+    patches = [Patch("all", oracle.membership, _closure_unique_section(g), lipschitz_bound=2.0)]
+    return Patchwork(patches, regular=True, space=oracle)
+
+
+def closure_conflict_planner(g, multi_pairs):
+    oracle = gamma(g)
+    fixed = _closure_fixed_path(g)
+    conflicts = frozenset(multi_pairs)
+
+    def member_conflict(x, y):
+        return (isinstance(x, Vertex) and isinstance(y, Vertex)
+                and (x.vertex, y.vertex) in conflicts)
+
+    def member_rest(x, y):
+        return oracle.membership(x, y) and not member_conflict(x, y)
+
+    def section_conflict(x, y):
+        return fixed(x.vertex, y.vertex)
+
+    patches = [
+        Patch("conflicts", member_conflict, section_conflict, lipschitz_bound=2.0),
+        Patch("rest", member_rest, _closure_unique_section(g), lipschitz_bound=2.0),
+    ]
+    return Patchwork(patches, regular=True, space=oracle)
+
+
+def closure_constant_planner(g):
+    oracle = gamma(g)
+
+    def section(x, y):
+        return DiPath.constant(g, x)
+    return Patchwork([Patch("all", oracle.membership, section, 1.0)],
+                     regular=True, space=oracle)
+
+
+def closure_build_planner(g):
+    """The closure planner of the tier ``ditc`` picks for a connected graph."""
+    report = ditc(g)
+    if report.reason is Reason.UNIQUE_TRACES:
+        return closure_unique_planner(g)
+    if report.reason is Reason.FINITE_CONFLICT_TWO_PATCH:
+        return closure_conflict_planner(g, _tier_info(g, gamma(g)).multi_pairs)
+    if report.reason is Reason.STRONGLY_CONNECTED_FORMULA and report.upper == 1:
+        return closure_constant_planner(g)
+    if report.reason is Reason.STRONGLY_CONNECTED_FORMULA and report.upper == 2:
+        return closure_cycle_planner(g)
+    return closure_three_patch_planner(g)
+
+
+def closure_interval_planner():
+    """The global linear section on the directed interval."""
+    g = directed_interval()
+    oracle = gamma(g)
+
+    def coord(p):
+        if isinstance(p, Vertex):
+            return 0.0 if p.vertex == "0" else 1.0
+        return p.t
+
+    def section(x, y):
+        return DiPath(g, [Step("e", coord(x), coord(y))])
+
+    return Patchwork([Patch("all", oracle.membership, section, 1.0)],
+                     regular=True, space=oracle)
+
+
+def closure_circle_planner():
+    """Pairs inside the top interval, then pairs inside the bottom interval
+    minus the three shared pairs."""
+    g = directed_circle()
+    oracle = gamma(g)
+
+    def on_arc(p, edge):
+        if isinstance(p, Vertex):
+            return True
+        return p.edge == edge
+
+    def coord(p):
+        if isinstance(p, Vertex):
+            return 0.0 if p.vertex == "b" else 1.0
+        return p.t
+
+    def member_top(x, y):
+        return on_arc(x, "top") and on_arc(y, "top") and coord(x) <= coord(y)
+
+    def member_bot(x, y):
+        both_vertices = isinstance(x, Vertex) and isinstance(y, Vertex)
+        return (on_arc(x, "bot") and on_arc(y, "bot") and coord(x) <= coord(y)
+                and not both_vertices)
+
+    def section_on(edge):
+        def section(x, y):
+            return DiPath(g, [Step(edge, coord(x), coord(y))])
+        return section
+
+    patches = [
+        Patch("top", member_top, section_on("top"), 1.0),
+        Patch("bot", member_bot, section_on("bot"), 1.0),
+    ]
+    return Patchwork(patches, regular=True, space=oracle)
+
+
+def closure_loop_planner():
+    return closure_cycle_planner(directed_loop())
+
+
+def closure_product_planner(factors):
+    """The graded product: each claim computes the grade from scratch by
+    asking every factor patch in turn."""
+    oracles = [f[0] for f in factors]
+    planners = [f[1] for f in factors]
+    top = sum(len(p.patches) - 1 for p in planners)
+
+    def factor_index(i, a, b):
+        for k, patch in enumerate(planners[i].patches):
+            if patch.membership(a, b):
+                return k
+        return -1
+
+    def grade(x, y):
+        total = 0
+        for i, (a, b) in enumerate(zip(x, y)):
+            k = factor_index(i, a, b)
+            if k < 0:
+                return -1
+            total += k
+        return total
+
+    def make_patch(j):
+        def member(x, y):
+            if len(x) != len(oracles) or len(y) != len(oracles):
+                return False
+            return grade(x, y) == j
+
+        def section(x, y):
+            parts = []
+            for i, (a, b) in enumerate(zip(x, y)):
+                k = factor_index(i, a, b)
+                if k < 0:
+                    raise Unreachable(f"coordinate {i} pair ({a!r},{b!r}) is unreachable")
+                parts.append(planners[i].patches[k].section(a, b))
+            return ProductPath(parts)
+
+        bound = max(p.lipschitz_bound for planner in planners for p in planner.patches)
+        return Patch(f"G{j}", member, section, bound)
+
+    return Patchwork([make_patch(j) for j in range(top + 1)], regular=True,
+                     space=ProductGamma(oracles))
+
+
+def closure_torus_planner(n):
+    return closure_product_planner([(p.space, p) for p in
+                                    (closure_loop_planner() for _ in range(n))])
 
 
 # ---------------------------------------------------------------------------

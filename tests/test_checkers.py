@@ -7,9 +7,11 @@ import pytest
 
 from ditopo.core import (
     DiPath,
+    EdgeInterior,
     Patch,
     Patchwork,
     Step,
+    Vertex,
     check_patch_continuity,
     check_section,
     concatenate,
@@ -27,6 +29,7 @@ from ditopo.graph import (
     loop_planner,
     parallel_edges,
 )
+from ditopo.product import torus_planner
 
 
 class TestCheckSection:
@@ -62,6 +65,55 @@ class TestCheckSection:
                           regular=True, space=planner.space)
         report = check_section(gappy, planner.space, samples=300, seed=3)
         assert len(report.membership_violations) > 0
+
+
+class _OnePair:
+    """A relation sampler that always draws the same pair."""
+
+    def __init__(self, x, y):
+        self.pair = (x, y)
+
+    def sample_pair(self, rng):
+        return self.pair
+
+
+class TestSectionEndpoints:
+    """The endpoint test keeps ``points_equal``'s tolerance of 1e-9 on edge
+    parameters and ``point_at``'s rule that a parameter within 1e-9 of an
+    edge's end is that end's vertex."""
+
+    @pytest.mark.parametrize("x, start, y, end, violation", [
+        (EdgeInterior("e", 0.2), 0.2, EdgeInterior("e", 0.6), 0.6 + 2e-9, True),
+        (EdgeInterior("e", 0.2), 0.2, EdgeInterior("e", 0.6), 0.6 - 2e-9, True),
+        (EdgeInterior("e", 0.2), 0.2, EdgeInterior("e", 0.6), 0.6 + 5e-10, False),
+        (EdgeInterior("e", 0.2), 0.2, EdgeInterior("e", 0.6), 0.6 - 5e-10, False),
+        (EdgeInterior("e", 0.2), 0.2 + 2e-9, EdgeInterior("e", 0.6), 0.6, True),
+        (EdgeInterior("e", 0.2), 0.2 - 5e-10, EdgeInterior("e", 0.6), 0.6, False),
+        (Vertex("0"), 5e-10, Vertex("1"), 1.0 - 5e-10, False),
+        (Vertex("0"), 2e-9, Vertex("1"), 1.0, True),
+        (Vertex("0"), 0.0, Vertex("1"), 1.0 - 2e-9, True),
+        (Vertex("0"), 0.0, EdgeInterior("e", 1.0 - 5e-10), 1.0 - 5e-10, True),
+        (Vertex("1"), 1.0, Vertex("1"), 1.0, False),
+    ])
+    def test_tolerance_and_vertex_rule(self, x, start, y, end, violation):
+        g = directed_interval()
+        path = DiPath(g, [Step("e", start, end)])
+        planner = Patchwork([Patch("all", lambda a, b: True, lambda a, b: path, 1.0)])
+        report = check_section(planner, _OnePair(x, y), samples=3)
+        assert report.total_violations == len(report.endpoint_violations)
+        assert len(report.endpoint_violations) == (3 if violation else 0)
+        assert violation != (points_equal(path.start(), x) and points_equal(path.end(), y))
+        if violation:
+            assert report.endpoint_violations[0]["got"] == (repr(path.start()), repr(path.end()))
+
+    def test_constant_and_product_paths(self):
+        planner = loop_planner()
+        x = EdgeInterior("l", 0.3)
+        report = check_section(planner, _OnePair(x, x), samples=2)
+        assert report.total_violations == 0
+        torus, _ = torus_planner(2)
+        pair = ((x, Vertex("v")), (EdgeInterior("l", 0.3 + 5e-10), Vertex("v")))
+        assert check_section(torus, _OnePair(*pair), samples=2).total_violations == 0
 
 
 class TestCheckContinuity:

@@ -11,7 +11,7 @@ import pytest
 
 import ditopo
 from ditopo.cli import main
-from ditopo.graph import DirectedGraph, directed_circle, directed_interval
+from ditopo.graph import DirectedGraph, cycle_graph, directed_circle, directed_interval
 
 
 @pytest.fixture
@@ -59,6 +59,15 @@ class TestGraphCommands:
                         "--from", "e:top:0.3", "--to", "e:bot:0.5")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "Unreachable"
+
+    @pytest.mark.parametrize("src", ["v:zzz", "e:zzz:0.5"])
+    def test_plan_on_a_cycle_with_an_unknown_point_is_a_domain_error(self, capsys, tmp_path,
+                                                                     src):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(cycle_graph(2).to_json()))
+        code, out = run(capsys, "graph", "plan", str(path), "--from", src, "--to", "v:v0")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidPoint"
 
     def test_graph_round_trip(self, circle_file):
         doc = json.loads(open(circle_file).read())
@@ -270,6 +279,13 @@ class TestBadInput:
          "unknown vertices"),
         (["check", "section", "@not_an_object"], "is not a ditopo graph"),
         (["graph", "ditc", "@mixed_ids"], "TypeError: '<' not supported"),
+        (["nathom", "build", "@circle", "--samples", "v:b,e:top:abc"], "bad --samples point"),
+        (["pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0", "--to", "2,2", "--resolution", "0"],
+         "positive integer"),
+        (["pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0,0", "--to", "2,2"],
+         "two finite numbers"),
+        (["pv", "schedule", "Pa.Va|Pa.Va", "--from", "nan,0", "--to", "2,2"],
+         "two finite numbers"),
     ])
     def test_exits_one_with_a_message(self, capsys, circle_file, bad_graphs, argv, message):
         files = {"circle": circle_file, **{k: str(v) for k, v in bad_graphs.items()}}
