@@ -1,6 +1,7 @@
 """Tabulate ``python -X importtime`` for ditopo, per module.
 
     python3 scripts/import_times.py [--src DIR] [--runs 10] [--argv ARG ...]
+    python3 scripts/import_times.py --kinds [--src DIR] [--against DIR] [--runs 10] [--seed 1]
 
 Imports ditopo from DIR (default: this checkout's ``src``), so the same
 script measures two checkouts.  Each run is a fresh interpreter.  Without
@@ -17,6 +18,14 @@ after start-up and that no other import made, so it covers every module
 the command loaded, including the standard-library ones.  Bytecode is
 read or written as the environment says (``PYTHONDONTWRITEBYTECODE``,
 ``PYTHONPYCACHEPREFIX``).
+
+With ``--kinds``, takes the first round of perfbench's ``cli_oneshot``
+requests for the seed, one request per kind, and prints for each kind the
+ditopo modules one ``python -m ditopo`` child loads, the bytes of their
+source (what the child compiles when no bytecode cache is read), and the
+wall time of the child process, min and median over the runs.  With
+``--against``, each kind is measured on both source trees, one child of
+each in turn.
 """
 
 import argparse
@@ -25,7 +34,25 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# runs ``python -m ditopo ARGV`` in-process, then writes the ditopo modules
+# it loaded, with their source sizes, to the file named last on its argv
+KIND_PROBE = """
+import json, os, runpy, sys
+out, sys.argv = sys.argv[-1], ["ditopo", *sys.argv[1:-1]]
+try:
+    runpy.run_module("ditopo", run_name="__main__", alter_sys=True)
+except BaseException:
+    pass
+files = {m: sys.modules[m].__file__ for m in list(sys.modules) if m.split(".")[0] == "ditopo"}
+files["ditopo.__main__"] = os.path.join(os.path.dirname(files["ditopo"]), "__main__.py")
+with open(out, "w") as fh:
+    json.dump({m: os.path.getsize(f) for m, f in files.items()}, fh)
+"""
 
 
 def one_run(src: str, argv) -> tuple:
@@ -56,13 +83,57 @@ def one_run(src: str, argv) -> tuple:
     return times, total
 
 
+def kinds_table(srcs: list, runs: int, seed: int) -> dict:
+    """{kind: {argv, src: {modules, source_bytes, wall_ms}}} for one round of
+    ``cli_oneshot`` requests; each kind's children alternate between the
+    sources, so a drift in machine speed reaches every source alike."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    envs = {src: dict(os.environ, PYTHONPATH=src) for src in srcs}
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        rnd, = gen.write_cli_files(gen.cli_inputs(seed)[:1], Path(tmp))
+        for kind, argv, _ in rnd["requests"]:
+            row = table[kind] = {"argv": argv}
+            walls = {src: [] for src in srcs}
+            for src in srcs:
+                sizes = Path(tmp) / "sizes.json"
+                subprocess.run([sys.executable, "-c", KIND_PROBE, *argv, str(sizes)],
+                               env=envs[src], capture_output=True, check=True)
+                sizes = json.loads(sizes.read_text())
+                row[src] = {"modules": sorted(sizes), "source_bytes": sum(sizes.values())}
+            for _ in range(runs):
+                for src in srcs:
+                    t0 = time.perf_counter()
+                    subprocess.run([sys.executable, "-m", "ditopo", *argv], env=envs[src],
+                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                    walls[src].append((time.perf_counter() - t0) * 1e3)
+            for src in srcs:
+                row[src]["wall_ms"] = {"min": min(walls[src]),
+                                       "median": statistics.median(walls[src])}
+    return table
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("--kinds", action="store_true",
+                        help="tabulate modules, source bytes and child wall time per "
+                             "cli_oneshot request kind")
+    parser.add_argument("--seed", type=int, default=1, help="cli_oneshot seed for --kinds")
+    parser.add_argument("--against", help="with --kinds, a second src DIR whose children "
+                                          "alternate with those of --src")
     parser.add_argument("--argv", nargs=argparse.REMAINDER,
                         help="run `python -m ditopo ARGV...` instead of `import ditopo.cli`")
     args = parser.parse_args()
+    if args.kinds:
+        print(json.dumps({"runs": args.runs, "seed": args.seed, "python": sys.version.split()[0],
+                          "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                          "kinds": kinds_table([args.src] + ([args.against] if args.against
+                                                             else []), args.runs, args.seed)},
+                         indent=1))
+        return 0
     runs, totals = zip(*(one_run(args.src, args.argv) for _ in range(args.runs)))
     table = {}
     for name in runs[0]:

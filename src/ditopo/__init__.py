@@ -18,9 +18,11 @@ from importlib import import_module
 _EXPORTS = {
     **dict.fromkeys((
         "DiPath", "DiTCReport", "EdgeInterior", "GraphPoint", "Patch", "Patchwork",
-        "Reason", "Step", "Vertex", "check_patch_continuity", "check_section",
-        "concatenate", "contraction_homotopy", "format_point", "parse_point",
-        "points_equal", "sup_distance"), "core"),
+        "Reason", "Step", "Vertex", "concatenate", "format_point", "parse_point",
+        "points_equal"), "core"),
+    **dict.fromkeys((
+        "check_patch_continuity", "check_section", "contraction_homotopy",
+        "sup_distance"), "certify"),
     **dict.fromkeys((
         "CellPlanner", "DirectedGraph", "Edge", "GammaOracle", "TraceClassSummary", "betti1",
         "build_planner", "circle_planner", "classical_tc_graph", "cycle_graph",

@@ -18,9 +18,24 @@ from .errors import DitopoError
 
 
 class _Parser(argparse.ArgumentParser):
+    table = None    # a command's subcommands, added when the command is parsed
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.table:  # so a request builds the parsers of its own command only
+            table, self.table = self.table, None
+            sub = self.add_subparsers(dest=f"{self.prog.split()[-1]}_command", required=True)
+            for name, (help, arguments) in table.items():
+                p = sub.add_parser(name, help=help)
+                for flag, options in arguments.items():
+                    p.add_argument(flag, **options)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+_MAX_DRAWS, _MAX_GRID_NODES = 100_000, 1 << 26   # checked before any work; see README
 
 
 class _BadInput(Exception):
@@ -81,75 +96,57 @@ def lattice_grid(text: str) -> int:
     return value
 
 
+def _ends(help=None) -> dict:
+    """The --from and --to arguments; ``help`` goes on --from."""
+    return {"--from": {"dest": "src", "required": True, "help": help},
+            "--to": {"dest": "dst", "required": True}}
+
+
+# command -> (help, {subcommand -> (help, {argument -> add_argument options})})
+_COMMANDS = {
+    "graph": ("directed graph operations", {
+        "ditc": ("directed complexity report", {"file": {}, "--dot": {
+            "action": "store_true", "help": "emit the graph as DOT instead"}}),
+        "plan": ("plan a path between two points",
+                 {"file": {}, **_ends("point, e.g. v:b or e:top:0.5")}),
+        "gamma": ("reachability membership", {"file": {}, **_ends()})}),
+    "torus": ("directed torus operations", {"plan": ("plan on the n-torus", {
+        "--n": {"type": positive_int, "required": True},
+        **_ends("angles in turns, e.g. 0.25,0.5")})}),
+    "pv": ("two-process PV programs", {
+        "schedule": ("schedule between two positions", {
+            "program": {"help": 'e.g. "Pa.Va.Pb.Vb|Pa.Va.Pb.Vb"'}, **_ends("x1,x2 in step units"),
+            "--resolution": {"type": positive_int, "default": 8},
+            "--svg": {"help": "also write an SVG rendering to this file"}}),
+        "regions": ("forbidden rectangles", {
+            "program": {}, "--svg": {"help": "write an SVG rendering to this file"}})}),
+    "sphere": ("directed sphere boundaries", {"reach": ("boundary-monotone reachability", {
+        "-n": {"type": int, "required": True}, **_ends("comma-separated coordinates"),
+        "--grid": {"type": lattice_grid, "help": "a multiple of 16 (default 16); "
+                   "validated, does not change the answer"}})}),
+    "nathom": ("natural homology over trace diagrams", {
+        "build": ("build the sampled trace diagram", {
+            "file": {},
+            "--samples": {"required": True, "help": "comma-separated points, e.g. v:b,v:e"},
+            "--dot": {"action": "store_true"}, "--degree": {"type": positive_int, "default": 1}}),
+        "point-check": ("bisimulation with the constant-Z diagram",
+                        {"file": {}, "--samples": {"required": True}})}),
+    "check": ("planner certification", {
+        "section": ("partition + section exactness",
+                    {"file": {}, "--samples": {"type": positive_int, "default": 1000}}),
+        "continuity": ("sampled Lipschitz certificate", {
+            "file": {}, "--patch": {"required": True},
+            "--pairs": {"type": positive_int, "default": 200},
+            "--eps": {"type": positive_float, "default": 0.01}})}),
+}
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="ditopo", description=__doc__)
     top.add_argument("--seed", type=int, default=0, help="seed for all sampling")
     sub = top.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("graph", parents=[], help="directed graph operations")
-    gsub = g.add_subparsers(dest="graph_command", required=True)
-    p = gsub.add_parser("ditc", help="directed complexity report")
-    p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="emit the graph as DOT instead")
-    p = gsub.add_parser("plan", help="plan a path between two points")
-    p.add_argument("file")
-    p.add_argument("--from", dest="src", required=True, help="point, e.g. v:b or e:top:0.5")
-    p.add_argument("--to", dest="dst", required=True)
-    p = gsub.add_parser("gamma", help="reachability membership")
-    p.add_argument("file")
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-
-    t = sub.add_parser("torus", help="directed torus operations")
-    tsub = t.add_subparsers(dest="torus_command", required=True)
-    p = tsub.add_parser("plan", help="plan on the n-torus")
-    p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--from", dest="src", required=True, help="angles in turns, e.g. 0.25,0.5")
-    p.add_argument("--to", dest="dst", required=True)
-
-    v = sub.add_parser("pv", help="two-process PV programs")
-    vsub = v.add_subparsers(dest="pv_command", required=True)
-    p = vsub.add_parser("schedule", help="schedule between two positions")
-    p.add_argument("program", help='e.g. "Pa.Va.Pb.Vb|Pa.Va.Pb.Vb"')
-    p.add_argument("--from", dest="src", required=True, help="x1,x2 in step units")
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--resolution", type=positive_int, default=8)
-    p.add_argument("--svg", help="also write an SVG rendering to this file")
-    p = vsub.add_parser("regions", help="forbidden rectangles")
-    p.add_argument("program")
-    p.add_argument("--svg", help="write an SVG rendering to this file")
-
-    s = sub.add_parser("sphere", help="directed sphere boundaries")
-    ssub = s.add_subparsers(dest="sphere_command", required=True)
-    p = ssub.add_parser("reach", help="boundary-monotone reachability")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--from", dest="src", required=True, help="comma-separated coordinates")
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--grid", type=lattice_grid, default=None,
-                   help="a multiple of 16 (default 16); validated, does not change the answer")
-
-    n = sub.add_parser("nathom", help="natural homology over trace diagrams")
-    nsub = n.add_subparsers(dest="nathom_command", required=True)
-    p = nsub.add_parser("build", help="build the sampled trace diagram")
-    p.add_argument("file")
-    p.add_argument("--samples", required=True, help="comma-separated points, e.g. v:b,v:e")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--degree", type=positive_int, default=1)
-    p = nsub.add_parser("point-check", help="bisimulation with the constant-Z diagram")
-    p.add_argument("file")
-    p.add_argument("--samples", required=True)
-
-    c = sub.add_parser("check", help="planner certification")
-    csub = c.add_subparsers(dest="check_command", required=True)
-    p = csub.add_parser("section", help="partition + section exactness")
-    p.add_argument("file")
-    p.add_argument("--samples", type=positive_int, default=1000)
-    p = csub.add_parser("continuity", help="sampled Lipschitz certificate")
-    p.add_argument("file")
-    p.add_argument("--patch", required=True)
-    p.add_argument("--pairs", type=positive_int, default=200)
-    p.add_argument("--eps", type=positive_float, default=0.01)
-
+    for name, (help, table) in _COMMANDS.items():
+        sub.add_parser(name, help=help).table = table
     return top
 
 
@@ -178,11 +175,8 @@ def _run(args) -> str:
         x = parse_torus_point(args.src, args.n)
         y = parse_torus_point(args.dst, args.n)
         patch = planner.claim(x, y)
-        return dumps({
-            "ditc": report.to_json(),
-            "patch": patch.id,
-            "paths": [p.to_json() for p in patch.section(x, y).components],
-        })
+        return dumps({"ditc": report.to_json(), "patch": patch.id,
+                      "paths": [p.to_json() for p in patch.section(x, y).components]})
 
     if args.command == "pv":
         from .pv import forbidden_regions, parse_pv, render_svg, schedule
@@ -194,6 +188,9 @@ def _run(args) -> str:
                     fh.write(render_svg(prog))
                 doc["svg"] = args.svg
             return dumps(doc)
+        nodes = (prog.shape[0] * args.resolution + 1) * (prog.shape[1] * args.resolution + 1)
+        if nodes > _MAX_GRID_NODES:
+            raise _BadArgument(f"--resolution makes {nodes} grid nodes, over {_MAX_GRID_NODES}")
         sched = schedule(prog, _position(args.src), _position(args.dst), args.resolution)
         doc = sched.to_json()
         if args.svg:
@@ -204,8 +201,7 @@ def _run(args) -> str:
 
     if args.command == "sphere":
         from .sphere import QUANT, sphere_gamma
-        grid = QUANT if args.grid is None else args.grid
-        member = sphere_gamma(args.n, _parse_xy(args.src), _parse_xy(args.dst), grid)
+        member = sphere_gamma(args.n, _parse_xy(args.src), _parse_xy(args.dst), args.grid or QUANT)
         return dumps({"member": member})
 
     if args.command == "nathom":
@@ -228,15 +224,16 @@ def _run(args) -> str:
         return dumps({"bisimilar_to_point": ok, "certificate": certificate})
 
     if args.command == "check":
+        draws = args.samples if args.check_command == "section" else args.pairs
+        if draws > _MAX_DRAWS:
+            raise _BadArgument(f"--samples and --pairs are at most {_MAX_DRAWS}, got {draws}")
         from .core import check_patch_continuity, check_section
         from .graph import build_planner
-        g = _load_graph(args.file)
-        planner = build_planner(g)
+        planner = build_planner(_load_graph(args.file))
         if args.check_command == "section":
             report = check_section(planner, planner.space, args.samples, seed=args.seed)
             return dumps(report.to_json())
-        report = check_patch_continuity(planner, args.patch, args.pairs,
-                                        args.eps, seed=args.seed)
+        report = check_patch_continuity(planner, args.patch, args.pairs, args.eps, seed=args.seed)
         return dumps(report.to_json())
 
     raise AssertionError("unhandled command")

@@ -1,49 +1,46 @@
-"""Points, directed paths, patchwork planners, and the numeric testers.
+"""Points, directed paths and patchwork planners.
 
 A directed path on a graph is stored as a list of forward-traversed edge
 segments; evaluation uses constant speed with respect to the summed
-parameter spans (unit edge length).  Patchworks partition a reachability
-relation into ordered patches, each carrying a local section; the testers
-certify section validity and per-patch Lipschitz continuity on seeded
-samples of pairs.  The sup distance between two sections is exact: it is
-read at the few fractions where the distance between the paths can peak,
-not at evenly spaced samples.
+parameter spans (unit edge length), through the shared walk of
+``ditopo.walk``.  Patchworks partition a reachability relation into ordered
+patches, each carrying a local section.
 
-Planners for other spaces (products, sphere boundaries) plug into the same
-testers by providing path objects with ``start``/``end``/``evaluate``/
-``evaluate_many``/``validate`` and an oracle with ``membership``/
-``sample_point``/``sample_pair``/``distance``/``sup_fractions``/
-``perturb_pair``.  ``sample_pair(rng)`` draws a pair straight from the
-relation, with no retry: its law is that of two independent
-``sample_point`` draws conditioned on ``membership``.  ``evaluate_many``
-takes fractions in ascending order and returns the points ``evaluate``
-would, in one walk along the path; ``span_table`` and ``locate`` below are
-the shared walk.  ``sup_fractions(p, q)`` returns ascending fractions from
-0 to 1 between which the distance from p(s) to q(s) is convex in s, so its
-maximum is attained at one of them.
+The numeric testers live in ``ditopo.certify``.  Their names
+(``check_section``, ``check_patch_continuity``, ``sample_pair``,
+``path_sup_distance``, ...) still resolve here: the first lookup imports
+``certify`` and keeps the name in this module, so a program that never
+certifies never compiles the testers.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left
 from enum import Enum
-from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
 from .errors import (
     EndpointMismatch,
     InvalidPath,
     InvalidPoint,
-    NoGlobalSection,
     OutOfRange,
     PatchNotFound,
     Unreachable,
 )
 from .record import FrozenRecord, Record
+from .walk import PARAM_TOL, _path_fractions, locate, span_table
 
-# Tolerance on edge parameters; vertex identity is exact.
-PARAM_TOL = 1e-9
+# names defined in ``certify``, looked up there on first use (``__getattr__``)
+_CERTIFY = frozenset((
+    "ContinuityReport", "SectionCheckReport", "_at", "_joins", "check_patch_continuity",
+    "check_section", "contraction_homotopy", "path_sup_distance", "sample_pair", "sup_distance"))
+
+
+def __getattr__(name):
+    if name not in _CERTIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import certify
+    value = globals()[name] = getattr(certify, name)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -112,80 +109,6 @@ def parse_point(text: str) -> GraphPoint:
 # Directed paths
 # ---------------------------------------------------------------------------
 
-def span_table(spans: Iterable[float]) -> list[float]:
-    """Cumulative spans ``[0, s0, s0 + s1, ...]``, added left to right.
-
-    The last entry is the total.  Entries never decrease when no span is
-    negative, as on every valid path.
-    """
-    return list(accumulate(spans, initial=0.0))
-
-
-def locate(table: list[float], fractions: Iterable[float]) -> list[tuple[int, float]]:
-    """(segment index, offset into it) at each fraction of a span table's total.
-
-    ``fractions`` must ascend inside [0, 1].  Segment i is the first whose
-    end ``table[i + 1]`` is at or beyond the target, else the last one; the
-    offset ``target - table[i]`` is left unclamped.  The walk never moves
-    backwards: each fraction is a bisection from the previous segment on,
-    O(log segments), so a walk costs O(fractions * log segments).
-    """
-    total = table[-1]
-    segments = len(table) - 1
-    out = []
-    i, prev = 0, 0.0
-    for s in fractions:
-        if s < prev:
-            raise ValueError(f"fractions must ascend; {s} follows {prev}")
-        prev = s
-        target = s * total
-        i = bisect_left(table, target, i + 1, segments) - 1
-        out.append((i, target - table[i]))
-    return out
-
-
-def select_bit(bits: int, k: int) -> int:
-    """The position of the k-th (from 0) set bit of ``bits``.
-
-    Bisection: count the set bits of the low half, then keep the half that
-    holds the k-th one.  The int halves at every step, so an n-bit select
-    costs O(log n) steps and O(n) bit operations in all.
-    """
-    pos, width = 0, bits.bit_length()
-    while width > 1:
-        half = width >> 1
-        low = bits & ((1 << half) - 1)
-        count = low.bit_count()
-        if k < count:
-            bits, width = low, half
-        else:
-            bits, k, pos, width = bits >> half, k - count, pos + half, width - half
-    return pos
-
-
-def span_fractions(table: list[float]) -> list[float]:
-    """Each entry of a span table as a fraction of its total, ending at
-    exactly 1.0: the path's breakpoints.  A path of zero length has [0, 1]."""
-    total = table[-1]
-    if total <= 0.0:
-        return [0.0, 1.0]
-    fractions = [x / total for x in table]
-    fractions[-1] = 1.0
-    return fractions
-
-
-def _path_fractions(fractions: Iterable[float]) -> list[float]:
-    """The fractions clamped to [0, 1]; OutOfRange if one is off by more
-    than PARAM_TOL."""
-    fractions = list(fractions)
-    if fractions and not (0.0 <= min(fractions) and max(fractions) <= 1.0):
-        for s in fractions:
-            if not (-PARAM_TOL <= s <= 1.0 + PARAM_TOL):
-                raise OutOfRange(f"path parameter {s} outside [0,1]")
-        fractions = [min(max(s, 0.0), 1.0) for s in fractions]
-    return fractions
-
-
 class Step(FrozenRecord):
     """One forward traversal of (part of) an edge."""
 
@@ -242,14 +165,28 @@ class DiPath:
             if self.basepoint.vertex not in self.graph.vertex_set:
                 raise InvalidPath(f"unknown vertex {self.basepoint.vertex!r}")
             return
+        edges = []
         for s in self.steps:
-            self.graph.edge(s.edge)  # raises on unknown edge
+            edges.append(self.graph.edge(s.edge))  # raises on unknown edge
             if not (-PARAM_TOL <= s.t_from <= s.t_to <= 1.0 + PARAM_TOL):
                 raise InvalidPath(f"step {s} is not a forward traversal inside [0,1]")
-        for prev, nxt in zip(self.steps, self.steps[1:]):
-            p = self.graph.point_at(prev.edge, prev.t_to)
-            q = self.graph.point_at(nxt.edge, nxt.t_from)
-            if not points_equal(p, q):
+        # points_equal(point_at(prev end), point_at(next start)), read off the
+        # parameters: within PARAM_TOL of an end, point_at gives that vertex
+        for k in range(1, len(edges)):
+            prev, nxt = self.steps[k - 1], self.steps[k]
+            a, b = prev.t_to, nxt.t_from
+            inner_a = PARAM_TOL < a < 1.0 - PARAM_TOL
+            inner_b = PARAM_TOL < b < 1.0 - PARAM_TOL
+            if inner_a or inner_b:
+                incident = (inner_a and inner_b and prev.edge == nxt.edge
+                            and abs(a - b) <= PARAM_TOL)
+            else:
+                e, f = edges[k - 1], edges[k]
+                incident = ((e.src if a <= PARAM_TOL else e.dst)
+                            == (f.src if b <= PARAM_TOL else f.dst))
+            if not incident:
+                p = self.graph.point_at(prev.edge, a)
+                q = self.graph.point_at(nxt.edge, b)
                 raise InvalidPath(f"steps {prev} and {nxt} are not incident ({p} vs {q})")
 
     def start(self) -> GraphPoint:
@@ -364,28 +301,6 @@ def concatenate(p: DiPath, q: DiPath) -> DiPath:
     return DiPath(p.graph, steps + rest)
 
 
-def path_sup_distance(p, q, oracle) -> float:
-    """The exact sup over s in [0, 1] of ``oracle.distance(p(s), q(s))``.
-
-    The distance is convex between consecutive fractions of
-    ``oracle.sup_fractions(p, q)``, so its maximum is one of its values
-    there; each path is walked once over those fractions.
-    """
-    fractions = oracle.sup_fractions(p, q)
-    distance = oracle.distance
-    worst = 0.0
-    for a, b in zip(p.evaluate_many(fractions), q.evaluate_many(fractions)):
-        worst = max(worst, distance(a, b))
-    return worst
-
-
-def sup_distance(p: DiPath, q: DiPath) -> float:
-    """Sup metric between two paths on the same graph, exact."""
-    if p.graph is not q.graph and p.graph != q.graph:
-        raise ValueError("paths live on different graphs")
-    return path_sup_distance(p, q, p.graph)
-
-
 # ---------------------------------------------------------------------------
 # Patchworks and complexity reports
 # ---------------------------------------------------------------------------
@@ -479,207 +394,3 @@ class DiTCReport(Record):
         }
 
 
-# ---------------------------------------------------------------------------
-# Section and continuity testers
-# ---------------------------------------------------------------------------
-
-class SectionCheckReport(Record):
-    __slots__ = _fields = ("samples", "membership_violations", "endpoint_violations",
-                           "path_violations")
-
-    def __init__(self, samples: int, membership_violations: Optional[list] = None,
-                 endpoint_violations: Optional[list] = None,
-                 path_violations: Optional[list] = None):
-        self.samples = samples
-        self.membership_violations = [] if membership_violations is None else membership_violations
-        self.endpoint_violations = [] if endpoint_violations is None else endpoint_violations
-        self.path_violations = [] if path_violations is None else path_violations
-
-    @property
-    def total_violations(self) -> int:
-        return (len(self.membership_violations)
-                + len(self.endpoint_violations)
-                + len(self.path_violations))
-
-    @property
-    def ok(self) -> bool:
-        return self.total_violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "violations": self.total_violations,
-            "membership_violations": self.membership_violations[:10],
-            "endpoint_violations": self.endpoint_violations[:10],
-            "path_violations": self.path_violations[:10],
-        }
-
-
-def sample_pair(oracle, rng: random.Random):
-    """One pair drawn straight from the reachability relation:
-    ``oracle.sample_pair(rng)``, two ``sample_point`` draws conditioned on
-    ``membership``.  The certifiers draw every pair through here."""
-    return oracle.sample_pair(rng)
-
-
-def _at(graph, edge: str, t: float, p) -> bool:
-    """``points_equal(graph.point_at(edge, t), p)`` without building the
-    point: within PARAM_TOL of an end, the point is that end's vertex."""
-    if t <= PARAM_TOL:
-        return isinstance(p, Vertex) and p.vertex == graph.edge(edge).src
-    if t >= 1.0 - PARAM_TOL:
-        return isinstance(p, Vertex) and p.vertex == graph.edge(edge).dst
-    return isinstance(p, EdgeInterior) and p.edge == edge and abs(t - p.t) <= PARAM_TOL
-
-
-def _joins(path, x, y) -> bool:
-    """``points_equal(path.start(), x) and points_equal(path.end(), y)``; a
-    DiPath with steps compares its first and last step with x and y."""
-    if type(path) is not DiPath or not path.steps:
-        return points_equal(path.start(), x) and points_equal(path.end(), y)
-    first, last = path.steps[0], path.steps[-1]
-    return (_at(path.graph, first.edge, first.t_from, x)
-            and _at(path.graph, last.edge, last.t_to, y))
-
-
-def check_section(planner: Patchwork, oracle, samples: int = 1000, seed: int = 0) -> SectionCheckReport:
-    """Sample pairs from the relation and test partition + section exactness.
-
-    For each pair: exactly one patch must claim it, the section path must
-    run from x to y (parameters within 1e-9), and the path must satisfy all
-    structural invariants.  Violations are returned as data, not raised.
-    """
-    rng = random.Random(seed)
-    report = SectionCheckReport(samples=samples)
-    for _ in range(samples):
-        x, y = sample_pair(oracle, rng)
-        claiming = planner.claiming_patches(x, y)
-        if len(claiming) != 1:
-            report.membership_violations.append(
-                {"pair": (repr(x), repr(y)), "claimed_by": [p.id for p in claiming]})
-            continue
-        patch = claiming[0]
-        try:
-            path = patch.section(x, y)
-            path.validate()
-        except Exception as exc:  # noqa: BLE001 - violations are data here
-            report.path_violations.append(
-                {"pair": (repr(x), repr(y)), "patch": patch.id, "error": str(exc)})
-            continue
-        if not _joins(path, x, y):
-            report.endpoint_violations.append(
-                {"pair": (repr(x), repr(y)), "patch": patch.id,
-                 "got": (repr(path.start()), repr(path.end()))})
-    return report
-
-
-class ContinuityReport(Record):
-    __slots__ = _fields = ("patch_id", "pairs_requested", "pairs_used", "lipschitz_bound",
-                           "max_ratio", "violations", "worst")
-
-    def __init__(self, patch_id: str, pairs_requested: int, pairs_used: int,
-                 lipschitz_bound: float, max_ratio: float, violations: Optional[list] = None,
-                 worst: Optional[dict] = None):
-        self.patch_id = patch_id
-        self.pairs_requested = pairs_requested
-        self.pairs_used = pairs_used
-        self.lipschitz_bound = lipschitz_bound
-        self.max_ratio = max_ratio
-        self.violations = [] if violations is None else violations
-        self.worst = worst
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def vacuous(self) -> bool:
-        """No sampled pair survived the filters, so ``ok`` certifies nothing."""
-        return self.pairs_used == 0
-
-    def to_json(self) -> dict:
-        return {
-            "patch": self.patch_id,
-            "pairs_requested": self.pairs_requested,
-            "pairs_used": self.pairs_used,
-            "vacuous": self.vacuous,
-            "lipschitz_bound": self.lipschitz_bound,
-            "max_ratio": self.max_ratio,
-            "violations": len(self.violations),
-            "worst": self.worst,
-        }
-
-
-def check_patch_continuity(planner: Patchwork, patch_id: str,
-                           pair_samples: int = 200, perturbation: float = 0.01,
-                           seed: int = 0, oracle=None) -> ContinuityReport:
-    """Sampled Lipschitz certificate for one patch's section.
-
-    Pairs are drawn from the patch; each endpoint is jittered within its
-    own cell by at most min(perturbation, d(x, y) / 8), which keeps the
-    perturbed pair in the combinatorial regime the pair already occupies
-    (sections here are continuous, but not uniformly so near regime
-    boundaries, so fixed-scale jitter would manufacture unbounded ratios
-    that no declared constant could cover).  Perturbed pairs that leave the
-    relation or the patch are discarded.  The pairs are sampled, but the
-    sup distance between the two sections of a pair is exact
-    (``path_sup_distance``).  Reports the max observed ratio
-    sup_distance / (d(x,x') + d(y,y')) and any sample exceeding the
-    declared bound + 1e-6.
-    """
-    if oracle is None:
-        oracle = planner.space
-    if oracle is None:
-        raise ValueError("no oracle supplied and the planner carries none")
-    patch = planner.patch(patch_id)
-    bound = patch.lipschitz_bound
-    rng = random.Random(seed)
-    report = ContinuityReport(patch_id=patch_id, pairs_requested=pair_samples,
-                              pairs_used=0, lipschitz_bound=bound, max_ratio=0.0)
-    for _ in range(pair_samples):
-        x, y = sample_pair(oracle, rng)
-        if not patch.membership(x, y):
-            continue
-        eps = min(perturbation, oracle.distance(x, y) / 8.0)
-        if eps <= 0.0:
-            continue
-        x2, y2 = oracle.perturb_pair((x, y), eps, rng)
-        moved = oracle.distance(x, x2) + oracle.distance(y, y2)
-        if moved <= 0.0:
-            continue
-        if not (oracle.membership(x2, y2) and patch.membership(x2, y2)):
-            continue
-        p = patch.section(x, y)
-        q = patch.section(x2, y2)
-        sup = path_sup_distance(p, q, oracle)
-        ratio = sup / moved
-        report.pairs_used += 1
-        sample = {"pair": (repr(x), repr(y)), "perturbed": (repr(x2), repr(y2)),
-                  "sup": sup, "moved": moved, "ratio": ratio}
-        if ratio > report.max_ratio:
-            report.max_ratio = ratio
-            report.worst = sample
-        if sup > bound * moved + 1e-6:
-            report.violations.append(sample)
-    return report
-
-
-def contraction_homotopy(planner: Patchwork, u: DiPath, t: float) -> DiPath:
-    """Deform a path toward the planner's canonical path between its ends.
-
-    At t = 1 the result is u itself; at t = 0 it is the section path from
-    u(0) to u(1); in between, the first and last fractions t/2 of u are
-    kept and the middle is replaced by the section path between u(t/2) and
-    u(1 - t/2).  Requires a single-patch (global) section.
-    """
-    if len(planner.patches) != 1:
-        raise NoGlobalSection(f"planner has {len(planner.patches)} patches; need exactly 1")
-    if not (0.0 <= t <= 1.0):
-        raise OutOfRange(f"homotopy parameter {t} outside [0,1]")
-    section = planner.patches[0].section
-    if t >= 1.0:
-        return u
-    left = u.subpath(0.0, t / 2.0)
-    right = u.subpath(1.0 - t / 2.0, 1.0)
-    mid = section(left.end(), right.start())
-    return concatenate(concatenate(left, mid), right)

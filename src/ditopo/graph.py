@@ -9,16 +9,17 @@ reparametrizations collapse.
 
 ``ditc`` classifies a graph into tiers and returns certified bounds with a
 witnessing patchwork; ``build_planner`` exposes the witness directly.
+
+The undirected metric and the sampling of the relation serve only the
+testers, so their code lives in ``ditopo.certify`` and is compiled on
+first use (``_Certify``).
 """
 
 from __future__ import annotations
 
 import math
-import random
 import re
-from bisect import bisect_right
 from collections import deque
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -33,11 +34,27 @@ from .core import (
     Step,
     Vertex,
     points_equal,
-    select_bit,
-    span_fractions,
 )
 from .errors import InvalidPoint, NotConnected, Unreachable
 from .record import FrozenRecord, Record
+
+
+class _Certify:
+    """A method whose code is the named function of ``ditopo.certify``.
+    The first lookup imports that module and sets the function on the class
+    in place of this descriptor, so later calls cost nothing extra."""
+
+    def __init__(self, function: str):
+        self.function = function
+
+    def __set_name__(self, owner, name):
+        self.owner, self.name = owner, name
+
+    def __get__(self, obj, owner=None):
+        from . import certify
+        fn = getattr(certify, self.function)
+        setattr(self.owner, self.name, fn)
+        return fn.__get__(obj, owner)
 
 
 class Edge(FrozenRecord):
@@ -122,94 +139,8 @@ class DirectedGraph:
     def vertex_distance(self, u: str, v: str) -> float:
         return self._distances_from(u).get(v, math.inf)
 
-    def distance(self, a: GraphPoint, b: GraphPoint) -> float:
-        """Shortest undirected path length with unit edge lengths.
-
-        Reads the BFS table of ``a``'s vertex, or of both ends of ``a``'s
-        edge; each table is computed once per graph.
-        """
-        inf = math.inf
-        if isinstance(a, Vertex):
-            if isinstance(b, Vertex):
-                return self._distances_from(a.vertex).get(b.vertex, inf)
-            f = self.edge(b.edge)
-            da = self._distances_from(a.vertex)
-            return min(da.get(f.src, inf) + b.t, da.get(f.dst, inf) + 1.0 - b.t)
-        e = self.edge(a.edge)
-        from_src, from_dst = self._distances_from(e.src), self._distances_from(e.dst)
-        if isinstance(b, Vertex):
-            return min(a.t + from_src.get(b.vertex, inf),
-                       1.0 - a.t + from_dst.get(b.vertex, inf))
-        f = self.edge(b.edge)
-        at, bt = a.t, b.t
-        ta, tb = 1.0 - at, 1.0 - bt
-        return min(abs(at - bt) if a.edge == b.edge else inf,
-                   at + from_src.get(f.src, inf) + bt,
-                   at + from_src.get(f.dst, inf) + tb,
-                   ta + from_dst.get(f.src, inf) + bt,
-                   ta + from_dst.get(f.dst, inf) + tb)
-
-    def sup_fractions(self, p: DiPath, q: DiPath) -> list[float]:
-        """Ascending fractions from 0 to 1 between which ``distance(p(s), q(s))``
-        is affine in s, so its maximum over [0, 1] is one of its values there.
-
-        Between consecutive breakpoints of the two span tables, each point
-        stays on one cell: a vertex, or an edge at a parameter affine in s.
-        The distance is then the minimum of at most four affine terms (leave
-        through an end of one cell, cross the BFS hop count, enter through
-        an end of the other), plus |a - b| when both points share an edge.
-        Added inside each interval: the zero of a - b, and each fraction
-        where the term attaining the minimum changes.  O(1) work per
-        interval, and there are at most steps(p) + steps(q) intervals.
-        """
-        cells_p, cells_q = _affine_cells(p), _affine_cells(q)
-        out = [0.0]
-        s0, i, j = 0.0, 0, 0
-        while i < len(cells_p) and j < len(cells_q):
-            (end_p, cell_p), (end_q, cell_q) = cells_p[i], cells_q[j]
-            s1 = min(end_p, end_q)
-            if s1 > s0:
-                self._distance_kinks(cell_p, cell_q, s0, s1, out)
-                out.append(s1)
-                s0 = s1
-            i += end_p <= s1
-            j += end_q <= s1
-        return out
-
-    def _distance_kinks(self, cell_p, cell_q, s0: float, s1: float, out: list) -> None:
-        """Append the fractions in (s0, s1) where the distance between a point
-        on ``cell_p`` and one on ``cell_q`` (see ``_affine_cells``) stops being
-        affine in s."""
-        lines = []
-        ports_q = self._ports(cell_q)
-        for u, cu, mu in self._ports(cell_p):
-            hops = self._distances_from(u)
-            for w, cw, mw in ports_q:
-                d = hops.get(w)
-                if d is not None:
-                    lines.append((cu + d + cw, mu + mw))
-        if not (isinstance(cell_p, tuple) and isinstance(cell_q, tuple)
-                and cell_p[0] == cell_q[0]):
-            _min_kinks(lines, s0, s1, out)
-            return
-        # same edge: |a - b| joins the minimum, one affine piece per sign of a - b
-        dc, dm = cell_p[1] - cell_q[1], cell_p[2] - cell_q[2]
-        zero = -dc / dm if dm else s0
-        pieces = [(s0, zero), (zero, s1)] if s0 < zero < s1 else [(s0, s1)]
-        for k, (lo, hi) in enumerate(pieces):
-            if k:
-                out.append(lo)
-            sign = 1.0 if dc + dm * (lo + hi) / 2 >= 0.0 else -1.0
-            _min_kinks(lines + [(sign * dc, sign * dm)], lo, hi, out)
-
-    def _ports(self, cell) -> list:
-        """(vertex, c, m) for each way out of a cell: the point at fraction s
-        lies c + m*s from that vertex along its own cell."""
-        if isinstance(cell, str):
-            return [(cell, 0.0, 0.0)]
-        edge, c, m = cell
-        e = self._edge_map[edge]
-        return [(e.src, c, m), (e.dst, 1.0 - c, -m)]
+    distance = _Certify("graph_distance")
+    sup_fractions = _Certify("graph_sup_fractions")
 
     # -- connectivity --------------------------------------------------------
 
@@ -259,38 +190,6 @@ class DirectedGraph:
 
     def __repr__(self):
         return f"DirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
-
-def _affine_cells(path: DiPath) -> list:
-    """(end fraction, cell) for each stretch of a path on one cell, in order;
-    the last ends at 1.0.  A cell is a vertex id, or (edge id, c, m) for the
-    edge parameter c + m*s at fraction s."""
-    table = path._spans()
-    total = table[-1]
-    if total <= 0.0:
-        p = path.start()
-        return [(1.0, p.vertex if isinstance(p, Vertex) else (p.edge, p.t, 0.0))]
-    return [(f, (st.edge, st.t_from - a, total))
-            for st, a, f in zip(path.steps, table, span_fractions(table)[1:])
-            if st.span > 0.0]
-
-
-def _min_kinks(lines: list, s0: float, s1: float, out: list) -> None:
-    """Append, ascending, the fractions in (s0, s1) where the minimum of the
-    affine functions ``c + m*s`` given as (c, m) can change which one
-    attains it: each crossing of two lines that both attain the minimum
-    there, up to 1e-9.  The tolerance only adds fractions, so rounding in
-    the crossings cannot drop a kink; O(lines^3), with at most five lines."""
-    kinks = []
-    for k, (c1, m1) in enumerate(lines):
-        for c2, m2 in lines[:k]:
-            if m1 != m2:
-                x = (c2 - c1) / (m1 - m2)
-                if s0 < x < s1:
-                    v = c1 + m1 * x - 1e-9
-                    if all(v <= c + m * x for c, m in lines):
-                        kinks.append(x)
-    out.extend(sorted(kinks))
 
 
 # ---------------------------------------------------------------------------
@@ -362,91 +261,15 @@ class GammaOracle:
 
     # -- sampling-space protocol --------------------------------------------
 
-    def sample_point(self, rng: random.Random) -> GraphPoint:
-        """A uniform cell, then a uniform parameter on an edge cell."""
-        g = self.graph
-        idx = rng.randrange(len(g.vertices) + len(g.edges))
-        if idx < len(g.vertices):
-            return Vertex(g.vertices[idx])
-        return EdgeInterior(g.edges[idx - len(g.vertices)].id, _edge_parameter(rng))
-
-    def sample_pair(self, rng: random.Random) -> tuple:
-        """A pair (x, y) drawn from the relation with no retry.
-
-        The distribution is that of two independent ``sample_point`` draws
-        conditioned on ``membership``.  Cells are numbered vertices first,
-        then edges; L(u) is the set of cells vertex u reaches (the vertices
-        it reaches and the edges whose source it reaches), and the exit
-        vertex of a cell is the vertex itself or the edge's destination.
-        The x cell is drawn with weight 2 |L(exit)|, plus 1 for an edge e
-        whose destination does not reach its source: that extra half pair
-        is y on e itself with x.t <= y.t, drawn as two sorted parameters.
-        Otherwise y is uniform on L(exit), and each edge cell gets a fresh
-        uniform parameter.  One ``randrange`` over the total weight picks
-        both cells: the offset r into the x cell's weight gives y = the
-        (r // 2)-th cell of L, or the extra unit when r // 2 = |L|.
-
-        The tables are built on the first call and kept on the oracle: one
-        (V + E)-bit set of L per strongly connected component, filled by the
-        same sinks-first pass as the vertex bitsets (O(E) big-int ORs, so
-        O(E (V + E) / 64) word operations), plus three lists of V + E
-        entries.  Memory is O(components x (V + E) / 64) words.  A draw is a
-        bisection over the cells plus ``select_bit`` on L: O(log(V + E))
-        steps and O((V + E) / 64) words in all.
-        """
-        if self._pair_table is None:
-            self._pair_table = self._build_pair_table()
-        cum, reach, cells = self._pair_table
-        r = rng.randrange(cum[-1])
-        c = bisect_right(cum, r) - 1
-        k = (r - cum[c]) >> 1
-        if k == reach[c].bit_count():  # the extra unit: y on x's edge, after x
-            s, t = sorted((_edge_parameter(rng), _edge_parameter(rng)))
-            return EdgeInterior(cells[c], s), EdgeInterior(cells[c], t)
-        return _cell_point(cells[c], rng), _cell_point(cells[select_bit(reach[c], k)], rng)
-
-    def _build_pair_table(self) -> tuple:
-        """(cumulative cell weights from 0, the L bitset of each cell's exit,
-        each cell as a Vertex or an edge id)."""
-        g = self.graph
-        nv = len(g.vertices)
-        own = {v: 1 << i for i, v in enumerate(g.vertices)}
-        for j, e in enumerate(g.edges):
-            own[e.src] |= 1 << (nv + j)
-        reach_of = self._closure(own)
-        reach = [reach_of[v] for v in g.vertices] + [reach_of[e.dst] for e in g.edges]
-        weights = [2 * bits.bit_count() + (c >= nv and not bits >> c & 1)
-                   for c, bits in enumerate(reach)]
-        cells = [Vertex(v) for v in g.vertices] + [e.id for e in g.edges]
-        return list(accumulate(weights, initial=0)), reach, cells
+    sample_point = _Certify("oracle_sample_point")
+    sample_pair = _Certify("oracle_sample_pair")
+    perturb_pair = _Certify("oracle_perturb_pair")
 
     def distance(self, a: GraphPoint, b: GraphPoint) -> float:
         return self.graph.distance(a, b)
 
     def sup_fractions(self, p: DiPath, q: DiPath) -> list[float]:
         return self.graph.sup_fractions(p, q)
-
-    def perturb_pair(self, pair, eps: float, rng: random.Random):
-        """Jitter each endpoint within its own cell by at most eps."""
-        def jitter(p: GraphPoint) -> GraphPoint:
-            if isinstance(p, Vertex):
-                return p
-            t = p.t + rng.uniform(-eps, eps)
-            t = min(max(t, 1e-12), 1.0 - 1e-12)
-            return EdgeInterior(p.edge, t)
-        x, y = pair
-        return jitter(x), jitter(y)
-
-
-def _edge_parameter(rng: random.Random) -> float:
-    """A uniform parameter strictly inside (0, 1): ``rng.random()``, drawn
-    again in the 2^-53 case that it is 0."""
-    return rng.random() or _edge_parameter(rng)
-
-
-def _cell_point(cell, rng: random.Random) -> GraphPoint:
-    """The vertex itself, or a point at a uniform parameter of the edge id."""
-    return cell if isinstance(cell, Vertex) else EdgeInterior(cell, _edge_parameter(rng))
 
 
 def _strong_components(g: DirectedGraph) -> list:

@@ -11,6 +11,9 @@ decreasing pairs out.
 For n = 1 the square boundary splits into two monotone arcs meeting at the
 extreme corners, which gives a two-patch planner shaped like the
 directed-circle construction.
+
+Reachability loads nothing of ditopo but ``errors`` and ``walk``; the
+planner and the complexity report import ``core`` when they are built.
 """
 
 from __future__ import annotations
@@ -18,17 +21,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import (
-    DiTCReport,
-    Patch,
-    Patchwork,
-    Reason,
-    _path_fractions,
-    locate,
-    span_fractions,
-    span_table,
-)
 from .errors import DimensionMismatch, InvalidPoint
+from .walk import _path_fractions, locate, span_fractions, span_table
 
 QUANT = 16          # fixed input quantization denominator
 _COORD_TOL = 1e-9
@@ -107,6 +101,7 @@ def sphere_gamma(n: int, x: Sequence[float], y: Sequence[float], grid: int = QUA
 
 def sphere_ditc(n: int) -> DiTCReport:
     """Directed complexity of the n-sphere boundary: the known constant 2."""
+    from .core import DiTCReport, Reason
     if n < 1:
         raise ValueError("dimension must be >= 1")
     return DiTCReport(2, 2, True, Reason.KNOWN_BUILTIN, None)
@@ -289,6 +284,7 @@ def sphere_planner_1() -> Patchwork:
     second takes the upper-left pairs minus the degenerate corner pairs the
     arcs share.
     """
+    from .core import Patch, Patchwork
     space = SphereGamma(1)
 
     def member_lower(x, y):

@@ -26,7 +26,7 @@ from ditopo.core import (
     concatenate,
     points_equal,
 )
-from ditopo.errors import InvalidPoint, NotIso, OutOfRange, Unreachable
+from ditopo.errors import InvalidPath, InvalidPoint, NotIso, OutOfRange, Unreachable
 from ditopo.graph import (
     DirectedGraph,
     _cycle_order,
@@ -685,6 +685,106 @@ def scan_sup_distance(p, q, distance, samples: int = 64) -> float:
         s = i / (samples - 1)
         worst = max(worst, distance(scan_evaluate(p, s), scan_evaluate(q, s)))
     return worst
+
+
+def pointwise_validate(path: DiPath) -> None:
+    """``DiPath.validate`` as it was: each junction builds both points with
+    ``point_at`` and compares them with ``points_equal``."""
+    if not path.steps:
+        if not isinstance(path.basepoint, Vertex):
+            raise InvalidPath("step-free paths must sit at a vertex")
+        if path.basepoint.vertex not in path.graph.vertex_set:
+            raise InvalidPath(f"unknown vertex {path.basepoint.vertex!r}")
+        return
+    for s in path.steps:
+        path.graph.edge(s.edge)  # raises on unknown edge
+        if not (-PARAM_TOL <= s.t_from <= s.t_to <= 1.0 + PARAM_TOL):
+            raise InvalidPath(f"step {s} is not a forward traversal inside [0,1]")
+    for prev, nxt in zip(path.steps, path.steps[1:]):
+        p = path.graph.point_at(prev.edge, prev.t_to)
+        q = path.graph.point_at(nxt.edge, nxt.t_from)
+        if not points_equal(p, q):
+            raise InvalidPath(f"steps {prev} and {nxt} are not incident ({p} vs {q})")
+
+
+# ---------------------------------------------------------------------------
+# The CLI parser as it was built before each request built only its own
+# command: every subparser, eagerly
+# ---------------------------------------------------------------------------
+
+def eager_cli_parser():
+    from ditopo.cli import __doc__ as description
+    from ditopo.cli import _Parser, lattice_grid, positive_float, positive_int
+
+    top = _Parser(prog="ditopo", description=description)
+    top.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    g = sub.add_parser("graph", parents=[], help="directed graph operations")
+    gsub = g.add_subparsers(dest="graph_command", required=True)
+    p = gsub.add_parser("ditc", help="directed complexity report")
+    p.add_argument("file")
+    p.add_argument("--dot", action="store_true", help="emit the graph as DOT instead")
+    p = gsub.add_parser("plan", help="plan a path between two points")
+    p.add_argument("file")
+    p.add_argument("--from", dest="src", required=True, help="point, e.g. v:b or e:top:0.5")
+    p.add_argument("--to", dest="dst", required=True)
+    p = gsub.add_parser("gamma", help="reachability membership")
+    p.add_argument("file")
+    p.add_argument("--from", dest="src", required=True)
+    p.add_argument("--to", dest="dst", required=True)
+
+    t = sub.add_parser("torus", help="directed torus operations")
+    tsub = t.add_subparsers(dest="torus_command", required=True)
+    p = tsub.add_parser("plan", help="plan on the n-torus")
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--from", dest="src", required=True, help="angles in turns, e.g. 0.25,0.5")
+    p.add_argument("--to", dest="dst", required=True)
+
+    v = sub.add_parser("pv", help="two-process PV programs")
+    vsub = v.add_subparsers(dest="pv_command", required=True)
+    p = vsub.add_parser("schedule", help="schedule between two positions")
+    p.add_argument("program", help='e.g. "Pa.Va.Pb.Vb|Pa.Va.Pb.Vb"')
+    p.add_argument("--from", dest="src", required=True, help="x1,x2 in step units")
+    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument("--resolution", type=positive_int, default=8)
+    p.add_argument("--svg", help="also write an SVG rendering to this file")
+    p = vsub.add_parser("regions", help="forbidden rectangles")
+    p.add_argument("program")
+    p.add_argument("--svg", help="write an SVG rendering to this file")
+
+    s = sub.add_parser("sphere", help="directed sphere boundaries")
+    ssub = s.add_subparsers(dest="sphere_command", required=True)
+    p = ssub.add_parser("reach", help="boundary-monotone reachability")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--from", dest="src", required=True, help="comma-separated coordinates")
+    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument("--grid", type=lattice_grid, default=None,
+                   help="a multiple of 16 (default 16); validated, does not change the answer")
+
+    n = sub.add_parser("nathom", help="natural homology over trace diagrams")
+    nsub = n.add_subparsers(dest="nathom_command", required=True)
+    p = nsub.add_parser("build", help="build the sampled trace diagram")
+    p.add_argument("file")
+    p.add_argument("--samples", required=True, help="comma-separated points, e.g. v:b,v:e")
+    p.add_argument("--dot", action="store_true")
+    p.add_argument("--degree", type=positive_int, default=1)
+    p = nsub.add_parser("point-check", help="bisimulation with the constant-Z diagram")
+    p.add_argument("file")
+    p.add_argument("--samples", required=True)
+
+    c = sub.add_parser("check", help="planner certification")
+    csub = c.add_subparsers(dest="check_command", required=True)
+    p = csub.add_parser("section", help="partition + section exactness")
+    p.add_argument("file")
+    p.add_argument("--samples", type=positive_int, default=1000)
+    p = csub.add_parser("continuity", help="sampled Lipschitz certificate")
+    p.add_argument("file")
+    p.add_argument("--patch", required=True)
+    p.add_argument("--pairs", type=positive_int, default=200)
+    p.add_argument("--eps", type=positive_float, default=0.01)
+
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Command dispatch, serialization round-trips, determinism, exit codes."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ditopo
+from conftest import eager_cli_parser
+from ditopo import cli
 from ditopo.cli import main
 from ditopo.graph import DirectedGraph, cycle_graph, directed_circle, directed_interval
 
@@ -178,7 +184,8 @@ class TestContract:
         assert main(["graph", "ditc", "/nonexistent/g.json"]) == 1
 
 
-SUBMODULES = ("cli", "core", "errors", "graph", "nathom", "product", "pv", "record", "sphere")
+SUBMODULES = ("certify", "cli", "core", "errors", "graph", "nathom", "product", "pv", "record",
+              "sphere", "walk")
 
 
 def _probe(statements: str) -> dict:
@@ -225,6 +232,47 @@ def test_graph_ditc_loads_only_the_graph_modules(circle_file):
     assert {"ditopo.core", "ditopo.graph"} <= modules
     assert not {f"ditopo.{m}" for m in ("pv", "sphere", "nathom", "product")} & modules
     assert "dataclasses" not in modules
+
+
+def test_sphere_reach_loads_neither_core_nor_graph():
+    modules = _main_loads("sphere", "reach", "-n", "2", "--from", "0,0.5,0", "--to", "1,0.6,0.3")
+    assert "ditopo.sphere" in modules
+    assert not {"ditopo.core", "ditopo.graph", "ditopo.certify"} & modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "ditc", "@"),
+    ("graph", "gamma", "@", "--from", "e:top:0.3", "--to", "v:e"),
+    ("graph", "plan", "@", "--from", "v:b", "--to", "e:top:0.5"),
+    ("torus", "plan", "--n", "2", "--from", "0.1,0.2", "--to", "0.1,0.9"),
+    ("nathom", "build", "@", "--samples", "v:b,v:e"),
+])
+def test_requests_that_certify_nothing_load_no_certifier(circle_file, argv):
+    modules = _main_loads(*(circle_file if a == "@" else a for a in argv))
+    assert "ditopo.core" in modules
+    assert "ditopo.certify" not in modules
+
+
+def test_check_section_loads_the_certifiers(circle_file):
+    assert "ditopo.certify" in _main_loads("check", "section", circle_file, "--samples", "5")
+
+
+def test_moved_names_resolve_in_their_old_modules():
+    """``core`` and the graph classes compile the testers on first use only,
+    and then hold the very functions ``certify`` defines."""
+    found = _probe(
+        "import sys, random\nimport ditopo.core as core, ditopo.graph as graph\n"
+        "print('LOADED', 'ditopo.certify' in sys.modules)\n"
+        "check = core.check_section\nimport ditopo.certify as certify\n"
+        "print('CORE', *sorted(n for n in core._CERTIFY if getattr(core, n) is getattr(certify, n)"
+        " and n in vars(core)))\n"
+        "g = graph.directed_circle()\no = graph.gamma(g)\nx, y = o.sample_pair(random.Random(1))\n"
+        "g.distance(x, y)\n"
+        "print('CLASS', *sorted(f'{c.__name__}.{n}' for c in (graph.DirectedGraph, graph.GammaOracle)"
+        " for n, f in vars(c).items() if getattr(f, '__module__', '') == 'ditopo.certify'))\n")
+    assert found["LOADED"] == {"False"}
+    assert found["CORE"] == set(ditopo.core._CERTIFY)
+    assert found["CLASS"] == {"DirectedGraph.distance", "GammaOracle.sample_pair"}
 
 
 def test_pv_schedule_loads_neither_core_nor_graph():
@@ -302,3 +350,125 @@ class TestBadInput:
                               for extra in ((), ("--grid", "16"), ("--grid", "32")))
         assert default[0] == 0
         assert explicit == [default, default]
+
+
+# ---------------------------------------------------------------------------
+# The parser builds only the chosen command's subtree
+# ---------------------------------------------------------------------------
+
+TREE = {"graph": ("ditc", "plan", "gamma"), "torus": ("plan",), "pv": ("schedule", "regions"),
+        "sphere": ("reach",), "nathom": ("build", "point-check"),
+        "check": ("section", "continuity")}
+HELP_ARGV = [["--help"], ["-h"]] + [[c, "--help"] for c in TREE] + [
+    [c, s, "--help"] for c, subs in TREE.items() for s in subs]
+USAGE_ERRORS = [[], ["nosuch"], ["--seed", "x", "graph", "ditc", "f"], ["--seed"],
+                ["--seed", "1.5", "sphere"]] + [[c] for c in TREE] + [
+    [c, "nosuch"] for c in TREE] + [[c, s] for c, subs in TREE.items() for s in subs]
+
+
+def _captured(call) -> tuple:
+    """(exit code, stdout, stderr) of a parse or a ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV + USAGE_ERRORS, ids=" ".join)
+def test_help_and_usage_errors_match_the_eager_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _captured(lambda: main(argv))
+    want = _captured(lambda: eager_cli_parser().parse_args(argv))
+    assert got == (want[0] or 0, *want[1:])
+    assert got[1 if argv in HELP_ARGV else 2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "plan", "g.json", "--from", "v:b", "--to", "v:e"],
+    ["--seed", "7", "check", "continuity", "g.json", "--patch", "rest", "--eps", "0.5"],
+    ["torus", "plan", "--n", "3", "--from", "0,0,0", "--to", "0.5,0.5,0.5"],
+    ["pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0", "--to", "2,2", "--svg", "x.svg"],
+    ["sphere", "reach", "-n", "1", "--from", "0,0.5", "--to", "1,0.6", "--grid", "32"],
+    ["nathom", "build", "g.json", "--samples", "v:b", "--dot", "--degree", "2"],
+])
+def test_parsed_arguments_match_the_eager_parser(argv):
+    assert cli._build_parser().parse_args(argv) == eager_cli_parser().parse_args(argv)
+
+
+def test_only_the_chosen_command_gets_subparsers():
+    parser = cli._build_parser()
+    parser.parse_args(["pv", "regions", "Pa.Va|Pa.Va"])
+    commands = parser._subparsers._group_actions[0].choices
+    assert [name for name, p in commands.items() if p._subparsers] == ["pv"]
+
+
+# ---------------------------------------------------------------------------
+# Caps checked before any work
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["check", "section", "@", "--samples", str(cli._MAX_DRAWS + 1)],
+    ["check", "continuity", "@", "--patch", "rest", "--pairs", str(cli._MAX_DRAWS + 1)],
+    # (2 * 4096 + 1)^2 grid nodes, just over 2^26
+    ["pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0", "--to", "2,2", "--resolution", "4096"],
+    ["pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0", "--to", "2,2", "--resolution", "100000"],
+])
+def test_caps_refuse_before_any_work(capsys, monkeypatch, circle_file, argv):
+    import ditopo.certify  # noqa: F401 - modules load before tracemalloc starts
+    import ditopo.pv
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the request ran past its cap")
+    monkeypatch.setattr(ditopo.graph, "build_planner", no_work)
+    monkeypatch.setattr(ditopo.pv, "schedule", no_work)
+    argv = [circle_file if a == "@" else a for a in argv]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "at most" in captured.err or "grid nodes" in captured.err
+    assert peak < 256 * 1024
+
+
+def test_resolution_just_under_the_grid_cap_runs(monkeypatch):
+    import ditopo.pv
+    calls = []
+    monkeypatch.setattr(ditopo.pv, "schedule", lambda *args: calls.append(args) or 1 / 0)
+    with pytest.raises(ZeroDivisionError):  # the stub ran: the cap let it through
+        main(["pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0", "--to", "2,2",
+              "--resolution", "4095"])
+    assert (2 * 4095 + 1) ** 2 <= cli._MAX_GRID_NODES < (2 * 4096 + 1) ** 2
+    assert calls[0][3] == 4095
+
+
+# ---------------------------------------------------------------------------
+# Module size
+# ---------------------------------------------------------------------------
+
+def parser_tokens(path: Path) -> int:
+    """The tokens CPython's parser reads from a module: ``tokenize`` less
+    comments, blank-line NL tokens and the encoding marker."""
+    with open(path, "rb") as fh:
+        skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+        return sum(1 for t in tokenize.tokenize(fh.readline) if t.type not in skip)
+
+
+def test_every_module_stays_under_the_parser_doubling():
+    """CPython 3.11's parser doubles its token array past 8 192 tokens as
+    counted here: ``graph.py`` padded to 8 192 tokens compiles with a
+    tracemalloc peak of 2.85 MB, padded to 8 194 with 3.30 MB.  Every
+    process compiles the modules it imports when no bytecode cache is
+    written."""
+    sources = sorted(Path(ditopo.__file__).parent.glob("*.py"))
+    counts = {p.name: parser_tokens(p) for p in sources}
+    assert {"core.py", "graph.py", "certify.py"} <= set(counts)
+    assert max(counts.values()) < 8192, counts

@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 from ditopo.core import (
+    PARAM_TOL,
     DiPath,
     EdgeInterior,
     Step,
@@ -18,9 +19,11 @@ from ditopo.core import (
     points_equal,
     sup_distance,
 )
+from conftest import pointwise_validate
 from ditopo.errors import EndpointMismatch, InvalidPath, InvalidPoint, OutOfRange
 from ditopo.graph import (
     DirectedGraph,
+    build_planner,
     cycle_graph,
     directed_circle,
     directed_interval,
@@ -114,6 +117,71 @@ class TestEvaluate:
         p = DiPath(circle, [Step("top", 0.0, 0.5), Step("bot", 0.5, 1.0)])
         with pytest.raises(InvalidPath):
             p.validate()
+
+
+def _outcome(validate, path):
+    """None if ``validate`` accepts the path, else the error's type and text."""
+    try:
+        validate(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared as data
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _junction_variants(path: DiPath):
+    """The path itself, and each junction with the end before it or the
+    start after it moved by +-2e-9, +-1e-9 and +-5e-10 (beyond PARAM_TOL,
+    at it and within it)."""
+    yield path
+    steps = path.steps
+    for k in range(1, len(steps)):
+        for delta in (2e-9, -2e-9, PARAM_TOL, -PARAM_TOL, 5e-10, -5e-10):
+            for side in (k - 1, k):
+                moved = list(steps)
+                st = steps[side]
+                moved[side] = (Step(st.edge, st.t_from, st.t_to + delta) if side == k - 1
+                               else Step(st.edge, st.t_from + delta, st.t_to))
+                yield DiPath(path.graph, moved)
+
+
+class TestJunctions:
+    """``DiPath.validate`` compares step ends directly; the points it once
+    built at every junction (``conftest.pointwise_validate``) must give the
+    same accept, reject and message."""
+
+    def _agree(self, paths) -> set:
+        seen = set()
+        for path in paths:
+            for variant in _junction_variants(path):
+                got = _outcome(DiPath.validate, variant)
+                assert got == _outcome(pointwise_validate, variant), variant
+                seen.add(got is None)
+        return seen
+
+    def test_corpus_sections(self, corpus):
+        rng = random.Random(5)
+        paths = []
+        for g in corpus:
+            planner, oracle = build_planner(g), gamma(g)
+            for _ in range(20):
+                x, y = oracle.sample_pair(rng)
+                paths.append(planner.plan(x, y))
+        assert sum(len(p.steps) > 1 for p in paths) > 200
+        assert self._agree(paths) == {True, False}
+
+    def test_mid_edge_and_vertex_junctions(self, corpus):
+        paths = []
+        for g in corpus[:30]:
+            for e in g.edges:
+                paths.append(DiPath.from_steps(g, [(e.id, 0.0, 0.5), (e.id, 0.5, 1.0)]))
+                # empty steps at an end put the junction at 0 or 1 on both sides
+                paths.append(DiPath.from_steps(g, [(e.id, 0.0, 0.0), (e.id, 0.0, 0.5)]))
+                paths.append(DiPath.from_steps(g, [(e.id, 0.5, 1.0), (e.id, 1.0, 1.0)]))
+                for f in g.out_edges(e.dst):
+                    paths.append(DiPath.from_steps(g, [(e.id, 0.25, 1.0), (f.id, 0.0, 0.75)]))
+                for f in g.edges:  # mostly not incident: both sides must refuse alike
+                    paths.append(DiPath.from_steps(g, [(e.id, 0.0, 1.0), (f.id, 0.0, 1.0)]))
+        assert self._agree(paths) == {True, False}
 
 
 class TestConcatenate:

@@ -1,7 +1,7 @@
 """The cumulative-span walk against the per-point linear scans it replaced.
 
 Every path type evaluates through one cumulative-span table and one walk
-(``core.span_table`` and ``core.locate``).  These tests hold ``evaluate``,
+(``walk.span_table`` and ``walk.locate``).  These tests hold ``evaluate``,
 ``evaluate_many``, ``length``, ``subpath`` and the sampled sup distance to
 the scans kept in ``conftest`` (exact equality, since both add the same
 floats in the same order), the exact sup distance to sampled ones, and the

@@ -19,10 +19,11 @@ import ditopo.graph
 import ditopo.product
 import ditopo.sphere
 from conftest import BfsClosure, rejection_sample_pair
-from ditopo.core import EdgeInterior, Vertex, sample_pair, select_bit
+from ditopo.core import EdgeInterior, Vertex, sample_pair
 from ditopo.graph import DirectedGraph, build_planner, ditc, gamma
 from ditopo.product import ProductGamma, torus_planner
 from ditopo.sphere import SphereGamma
+from ditopo.walk import select_bit
 
 # Wilson-Hilferty upper 1e-4 quantile of the standard normal, for the
 # chi-square thresholds below.
