@@ -1,10 +1,12 @@
-"""Measure graph planners as regime tables against a parent checkout.
+"""Measure graph planners and ``ditc`` tiering against a parent checkout.
 
     python3 scripts/regime_sweep.py sweep [--src DIR] [--seed 1]
+    python3 scripts/regime_sweep.py tiers [--src DIR] [--cap 60]
     python3 scripts/regime_sweep.py pairs --parent DIR [--change DIR]
                                           [--workloads certify] [--seeds 1,1812]
                                           [--pairs 10] [--seconds 20]
-    python3 scripts/regime_sweep.py all --parent DIR [--out BENCH_regime_tables.json]
+    python3 scripts/regime_sweep.py all --parent DIR [--sweep regime|tiers]
+                                        [--out BENCH_regime_tables.json]
 
 ``sweep`` imports ditopo from DIR (default: this checkout's ``src``) and
 prints one JSON object with, measured in process:
@@ -21,10 +23,18 @@ prints one JSON object with, measured in process:
   to the last edge's interior) on a fresh planner, and the same query
   repeated on that planner; medians over repeats.
 
+``tiers`` imports ditopo from DIR and prints, for directed chains, random
+polytrees and path-plus-chords DAGs (a Hamiltonian path plus 2V random
+forward chords) at V = 500 / 2 000 / 5 000 / 20 000: the seconds ``gamma``
+takes, then the seconds ``ditc`` takes on the graph whose oracle is built,
+the reported tier and the process's max RSS.  Each point runs in its own
+process, stopped after ``--cap`` seconds or at 1 GiB of address space,
+so a quadratic tree reports the point it could not finish.
+
 ``pairs`` runs ``perfbench/run.py`` in both checkouts, one run at a time,
 alternating which side runs first, and prints medians, quartiles, every
-run and the number of pairs the change won per metric.  ``all`` runs both
-sweeps on both sides and the pairs, and writes the BENCH file.
+run and the number of pairs the change won per metric.  ``all`` runs the
+pairs and the chosen sweep on both sides, and writes the BENCH file.
 """
 
 import argparse
@@ -32,6 +42,8 @@ import gc
 import json
 import os
 import platform
+import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -160,6 +172,70 @@ def sweep(seed: int) -> dict:
             "chain_plan_us": chain}
 
 
+TIER_FAMILIES = ("chain", "polytree", "dag")
+TIER_SIZES = (500, 2000, 5000, 20000)
+_POINT_BYTES = 1 << 30
+
+
+def tier_graph(family: str, n: int):
+    """A seeded graph of the family on n vertices."""
+    from ditopo.graph import DirectedGraph
+    rng = random.Random(27)
+    vs = [f"v{i}" for i in range(n)]
+    if family == "chain":
+        return DirectedGraph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+    if family == "polytree":
+        edges = []
+        for i in range(1, n):
+            a, b = vs[rng.randrange(i)], vs[i]
+            edges.append((f"e{i}", *((a, b) if rng.random() < 0.5 else (b, a))))
+        return DirectedGraph(vs, edges)
+    edges = [(f"p{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
+    for i in range(2 * n):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.append((f"c{i}", vs[a], vs[b]))
+    return DirectedGraph(vs, edges)
+
+
+def tier_point(family: str, n: int) -> dict:
+    from ditopo.graph import ditc, gamma
+    g = tier_graph(family, n)
+    t0 = time.perf_counter()
+    gamma(g)
+    t1 = time.perf_counter()
+    report = ditc(g)
+    t2 = time.perf_counter()
+    return {"gamma_s": round(t1 - t0, 4), "ditc_s": round(t2 - t1, 4),
+            "reason": report.reason.value,
+            "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_POINT_BYTES, _POINT_BYTES))
+
+
+def tier_sweep(src: str, cap: float) -> dict:
+    out = {}
+    for family in TIER_FAMILIES:
+        for n in TIER_SIZES:
+            t0 = time.perf_counter()
+            try:
+                run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "tier-point",
+                                      "--src", src, "--family", family, "--size", str(n)],
+                                     capture_output=True, text=True, timeout=cap,
+                                     preexec_fn=_limit_memory)
+                if run.returncode == 0:
+                    point = json.loads(run.stdout)
+                else:
+                    point = {"failed": run.stderr.strip().splitlines()[-1]}
+            except subprocess.TimeoutExpired:
+                point = {"failed": f"over the {cap:g} s cap"}
+            point["wall_s"] = round(time.perf_counter() - t0, 2)
+            out[f"{family} V={n}"] = point
+            print(family, n, json.dumps(point), file=sys.stderr)
+    return out
+
+
 def _run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -204,7 +280,9 @@ def pairs(parent: Path, change: Path, workloads, seeds, count: int, seconds: flo
     return results
 
 
-def _sweep_in(checkout: Path, seed: int) -> dict:
+def _sweep_in(checkout: Path, mode: str, seed: int, cap: float) -> dict:
+    if mode == "tiers":
+        return tier_sweep(str(checkout / "src"), cap)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "sweep",
                           "--src", str(checkout / "src"), "--seed", str(seed)],
@@ -214,9 +292,13 @@ def _sweep_in(checkout: Path, seed: int) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("sweep", "pairs", "all"))
+    parser.add_argument("mode", choices=("sweep", "tiers", "tier-point", "pairs", "all"))
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cap", type=float, default=60.0)
+    parser.add_argument("--family", choices=TIER_FAMILIES)
+    parser.add_argument("--size", type=int)
+    parser.add_argument("--sweep", choices=("regime", "tiers"), default="regime")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path, default=ROOT)
     parser.add_argument("--workloads", default="certify")
@@ -229,6 +311,13 @@ def main() -> None:
         sys.path.insert(0, args.src)
         print(json.dumps(sweep(args.seed), indent=1))
         return
+    if args.mode == "tier-point":
+        sys.path.insert(0, args.src)
+        print(json.dumps(tier_point(args.family, args.size)))
+        return
+    if args.mode == "tiers":
+        print(json.dumps(tier_sweep(args.src, args.cap), indent=1))
+        return
     if args.parent is None:
         parser.error("--parent is required")
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -238,14 +327,15 @@ def main() -> None:
         print(json.dumps(paired, indent=1))
         return
     doc = {
-        "label": "regime_tables",
+        "label": args.out.stem.removeprefix("BENCH_"),
         "environment": {"python": platform.python_version(), "cores": os.cpu_count(),
                         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
                         "run_seconds": args.seconds,
                         "order": "pairs alternate which side runs first; one run at a time"},
-        "command": "python3 scripts/regime_sweep.py all --parent <checkout of the parent>",
+        "command": f"python3 scripts/regime_sweep.py all --parent <checkout of the parent> "
+                   f"--sweep {args.sweep} --workloads {args.workloads} --pairs {args.pairs}",
         "paired_runs": paired,
-        "sweep": {side: _sweep_in(path.resolve(), args.seed)
+        "sweep": {side: _sweep_in(path.resolve(), args.sweep, args.seed, args.cap)
                   for side, path in (("parent", args.parent), ("change", args.change))},
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -87,15 +87,6 @@ def positive_float(text: str) -> float:
     return value
 
 
-def lattice_grid(text: str) -> int:
-    from .sphere import QUANT
-    value = int(text)
-    if value < QUANT or value % QUANT:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive multiple of {QUANT}, got {value}")
-    return value
-
-
 def _ends(help=None) -> dict:
     """The --from and --to arguments; ``help`` goes on --from."""
     return {"--from": {"dest": "src", "required": True, "help": help},
@@ -121,9 +112,7 @@ _COMMANDS = {
         "regions": ("forbidden rectangles", {
             "program": {}, "--svg": {"help": "write an SVG rendering to this file"}})}),
     "sphere": ("directed sphere boundaries", {"reach": ("boundary-monotone reachability", {
-        "-n": {"type": int, "required": True}, **_ends("comma-separated coordinates"),
-        "--grid": {"type": lattice_grid, "help": "a multiple of 16 (default 16); "
-                   "validated, does not change the answer"}})}),
+        "-n": {"type": int, "required": True}, **_ends("comma-separated coordinates")})}),
     "nathom": ("natural homology over trace diagrams", {
         "build": ("build the sampled trace diagram", {
             "file": {},
@@ -200,8 +189,8 @@ def _run(args) -> str:
         return dumps(doc)
 
     if args.command == "sphere":
-        from .sphere import QUANT, sphere_gamma
-        member = sphere_gamma(args.n, _parse_xy(args.src), _parse_xy(args.dst), args.grid or QUANT)
+        from .sphere import sphere_gamma
+        member = sphere_gamma(args.n, _parse_xy(args.src), _parse_xy(args.dst))
         return dumps({"member": member})
 
     if args.command == "nathom":

@@ -8,7 +8,10 @@ distinct edge sequences are never deformable into each other, while
 reparametrizations collapse.
 
 ``ditc`` classifies a graph into tiers and returns certified bounds with a
-witnessing patchwork; ``build_planner`` exposes the witness directly.
+witnessing patchwork; ``build_planner`` exposes the witness directly.  The
+tiers read only the reachability oracle's bitsets: which vertices lie on a
+cycle, the strongly connected components and, on an acyclic graph, each
+vertex's set of targets reached by two or more paths.
 
 The undirected metric and the sampling of the relation serve only the
 testers, so their code lives in ``ditopo.certify`` and is compiled on
@@ -454,48 +457,23 @@ def path_from_class(g: DirectedGraph, x: GraphPoint, y: GraphPoint,
 # Complexity tiers
 # ---------------------------------------------------------------------------
 
-class _TierInfo(Record):
-    __slots__ = _fields = ("acyclic", "strongly_connected", "pair_counts", "multi_pairs",
-                           "interior_unique")
+def _multi_paths(g: DirectedGraph, oracle: GammaOracle) -> dict:
+    """For each vertex u of an acyclic graph, the bitset (in ``oracle._mask``
+    numbering) of the targets u reaches by two or more directed paths.
 
-    def __init__(self, acyclic: bool, strongly_connected: bool,
-                 pair_counts: dict,   # (u, v) -> saturating path count, acyclic only
-                 multi_pairs: list,   # vertex pairs with >= 2 classes
-                 interior_unique: bool):
-        self.acyclic = acyclic
-        self.strongly_connected = strongly_connected
-        self.pair_counts = pair_counts
-        self.multi_pairs = multi_pairs
-        self.interior_unique = interior_unique
-
-
-_COUNT_CAP = 8
-
-
-def _path_counts(g: DirectedGraph, oracle: GammaOracle) -> dict:
-    """Saturating counts of directed edge-paths between vertices (DAG only).
-
-    Each source runs over the targets it reaches, read off its bitset;
-    sources come sinks first, so successors' counts are already known.
+    One sinks-first pass: a target has two paths from u iff some out-edge's
+    head has two paths to it, or two out-edges of u reach it.  O(E) big-int
+    operations; a DAG whose sets are all empty is a multitree.
     """
-    counts: dict = {}
+    multi: dict = {}
     for u in oracle._order:
-        for t in oracle._descendants(u):
-            total = 1 if u == t else 0
-            for e in g.out_edges(u):
-                total += counts.get((e.dst, t), 0)
-            counts[(u, t)] = min(total, _COUNT_CAP)
-    return counts
-
-
-def _tier_info(g: DirectedGraph, oracle: GammaOracle) -> _TierInfo:
-    acyclic = not oracle._cyclic
-    strongly = len(oracle._sccs) <= 1
-    counts = _path_counts(g, oracle) if acyclic else {}
-    multi = sorted((u, v) for (u, v), c in counts.items() if c >= 2)
-    interior_unique = acyclic and all(
-        len(g.in_edges(u)) == 0 and len(g.out_edges(v)) == 0 for u, v in multi)
-    return _TierInfo(acyclic, strongly, counts, multi, interior_unique)
+        twice = once = 0
+        for e in g.out_edges(u):
+            reach = oracle._reach[e.dst]
+            twice |= multi[e.dst] | (once & reach)
+            once |= reach
+        multi[u] = twice
+    return multi
 
 
 def _lex_shortest_paths(g: DirectedGraph, source: str) -> dict:
@@ -701,12 +679,14 @@ def _unique_planner(g: DirectedGraph, oracle: GammaOracle) -> CellPlanner:
     return _graph_planner(oracle, [("all", 2.0)], lambda x, y: (0, _unique_class(g, x, y)))
 
 
-def _conflict_planner(g: DirectedGraph, oracle: GammaOracle, multi_pairs) -> CellPlanner:
+def _conflict_planner(g: DirectedGraph, oracle: GammaOracle, multi: dict) -> CellPlanner:
+    """Vertex pairs joined by two or more paths take a fixed path; every
+    other pair in the relation has a unique trace class."""
     fixed = _fixed_paths(g)
-    conflicts = frozenset(multi_pairs)
 
     def rule(x, y):
-        if isinstance(x, Vertex) and isinstance(y, Vertex) and (x.vertex, y.vertex) in conflicts:
+        if (isinstance(x, Vertex) and isinstance(y, Vertex)
+                and multi[x.vertex] & oracle._mask[y.vertex]):
             return 0, fixed(x.vertex, y.vertex)
         return 1, _unique_class(g, x, y)
 
@@ -718,11 +698,19 @@ def _constant_planner(g: DirectedGraph, oracle: GammaOracle) -> CellPlanner:
 
 
 def _connected_report(g: DirectedGraph) -> DiTCReport:
+    """The tier of a connected graph, read off its reachability oracle.
+
+    An acyclic graph with no vertex pair joined by two paths (a multitree)
+    has unique trace classes.  Otherwise a strongly connected graph gets the
+    classical formula.  An acyclic graph whose multi-path pairs all run from
+    a vertex with no in-edge to a vertex with no out-edge gets two patches:
+    those vertex pairs and the rest.  Every other graph gets [2, 3].
+    """
     oracle = gamma(g)
-    info = _tier_info(g, oracle)
-    if info.acyclic and not info.multi_pairs:
+    multi = None if oracle._cyclic else _multi_paths(g, oracle)
+    if multi is not None and not any(multi.values()):
         return DiTCReport(1, 1, True, Reason.UNIQUE_TRACES, _unique_planner(g, oracle))
-    if info.strongly_connected:
+    if len(oracle._sccs) <= 1:
         k = min(betti1(g), 2) + 1
         if k == 1:
             planner = _constant_planner(g, oracle)
@@ -731,9 +719,11 @@ def _connected_report(g: DirectedGraph) -> DiTCReport:
         else:
             planner = _three_patch_planner(g, oracle)
         return DiTCReport(k, k, True, Reason.STRONGLY_CONNECTED_FORMULA, planner)
-    if info.interior_unique and info.multi_pairs:
-        planner = _conflict_planner(g, oracle, info.multi_pairs)
-        return DiTCReport(2, 2, True, Reason.FINITE_CONFLICT_TWO_PATCH, planner)
+    if multi is not None:
+        sinks = sum(oracle._mask[v] for v in g.vertices if not g.out_edges(v))
+        if all(m | sinks == sinks and not g.in_edges(u) for u, m in multi.items() if m):
+            planner = _conflict_planner(g, oracle, multi)
+            return DiTCReport(2, 2, True, Reason.FINITE_CONFLICT_TWO_PATCH, planner)
     return DiTCReport(2, 3, False, Reason.GENERAL_THREE_PATCH, _three_patch_planner(g, oracle))
 
 

@@ -72,18 +72,15 @@ def _reaches(x: tuple, y: tuple, top) -> bool:
     return False
 
 
-def sphere_gamma(n: int, x: Sequence[float], y: Sequence[float], grid: int = QUANT) -> bool:
+def sphere_gamma(n: int, x: Sequence[float], y: Sequence[float]) -> bool:
     """Whether a monotone boundary path joins x to y.
 
     Pairs that are not decided by the exact pre-checks (decreasing, equal,
     on a shared facet) are decided by the closed form on the points
-    quantized to the 1/16 lattice.  ``grid`` must be a multiple of 16; it
-    does not change any answer.
+    quantized to the 1/16 lattice.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if grid < QUANT or grid % QUANT != 0:
-        raise ValueError(f"grid must be a positive multiple of {QUANT}")
     x = check_sphere_point(x, n)
     y = check_sphere_point(y, n)
     if any(b < a - _COORD_TOL for a, b in zip(x, y)):

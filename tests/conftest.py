@@ -31,7 +31,6 @@ from ditopo.graph import (
     DirectedGraph,
     _cycle_order,
     _fixed_paths,
-    _tier_info,
     directed_circle,
     directed_interval,
     directed_loop,
@@ -438,10 +437,12 @@ def closure_unique_planner(g):
     return Patchwork(patches, regular=True, space=oracle)
 
 
-def closure_conflict_planner(g, multi_pairs):
+def closure_conflict_planner(g):
+    """The conflict tier's planner; its conflict pairs are the vertex pairs
+    with two or more paths, counted by ``BfsClosure``."""
     oracle = gamma(g)
     fixed = _closure_fixed_path(g)
-    conflicts = frozenset(multi_pairs)
+    conflicts = frozenset(p for p, c in BfsClosure(g).path_counts(2).items() if c >= 2)
 
     def member_conflict(x, y):
         return (isinstance(x, Vertex) and isinstance(y, Vertex)
@@ -475,7 +476,7 @@ def closure_build_planner(g):
     if report.reason is Reason.UNIQUE_TRACES:
         return closure_unique_planner(g)
     if report.reason is Reason.FINITE_CONFLICT_TWO_PATCH:
-        return closure_conflict_planner(g, _tier_info(g, gamma(g)).multi_pairs)
+        return closure_conflict_planner(g)
     if report.reason is Reason.STRONGLY_CONNECTED_FORMULA and report.upper == 1:
         return closure_constant_planner(g)
     if report.reason is Reason.STRONGLY_CONNECTED_FORMULA and report.upper == 2:
@@ -714,7 +715,7 @@ def pointwise_validate(path: DiPath) -> None:
 
 def eager_cli_parser():
     from ditopo.cli import __doc__ as description
-    from ditopo.cli import _Parser, lattice_grid, positive_float, positive_int
+    from ditopo.cli import _Parser, positive_float, positive_int
 
     top = _Parser(prog="ditopo", description=description)
     top.add_argument("--seed", type=int, default=0, help="seed for all sampling")
@@ -759,8 +760,6 @@ def eager_cli_parser():
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--from", dest="src", required=True, help="comma-separated coordinates")
     p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--grid", type=lattice_grid, default=None,
-                   help="a multiple of 16 (default 16); validated, does not change the answer")
 
     n = sub.add_parser("nathom", help="natural homology over trace diagrams")
     nsub = n.add_subparsers(dest="nathom_command", required=True)
@@ -1270,14 +1269,6 @@ class Dataclasses:
     class TraceClassSummary:
         count: float
         representatives: tuple
-
-    @dataclass
-    class _TierInfo:
-        acyclic: bool
-        strongly_connected: bool
-        pair_counts: dict
-        multi_pairs: list
-        interior_unique: bool
 
     # ditopo.nathom
     @dataclass(frozen=True)

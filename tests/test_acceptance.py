@@ -255,7 +255,7 @@ def test_criterion_10_sphere():
             x = sample_boundary_point(n, rng)
             y = sample_boundary_point(n, rng)
             for grid in (16, 32):
-                if sphere_gamma(n, x, y, grid) != lattice_sphere_gamma(n, x, y, grid):
+                if sphere_gamma(n, x, y) != lattice_sphere_gamma(n, x, y, grid):
                     failures.append((n, x, y, grid))
     if sphere_gamma(1, (0.0, 0.5), (1.0, 0.6)):
         failures.append(("blocked pair reported reachable",))

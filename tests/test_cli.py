@@ -313,8 +313,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv, message", [
         (["torus", "plan", "--n", "0", "--from", "0", "--to", "0"], "positive integer"),
-        (["sphere", "reach", "-n", "1", "--from", "0,0.5", "--to", "1,0.6", "--grid", "7"],
-         "multiple of 16"),
+        (["sphere", "reach", "-n", "1", "--from", "0,0.5", "--to", "1,0.6", "--grid", "16"],
+         "unrecognized arguments: --grid 16"),
         (["check", "section", "@circle", "--samples", "-5"], "positive integer"),
         (["check", "continuity", "@circle", "--patch", "rest", "--pairs", "0"],
          "positive integer"),
@@ -343,13 +343,6 @@ class TestBadInput:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert message in captured.err.splitlines()[-1]
-
-    def test_grid_defaults_to_16(self, capsys):
-        argv = ["sphere", "reach", "-n", "2", "--from", "0,0.5,0", "--to", "1,0.6,0.3"]
-        default, *explicit = (run(capsys, *argv, *extra)
-                              for extra in ((), ("--grid", "16"), ("--grid", "32")))
-        assert default[0] == 0
-        assert explicit == [default, default]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +384,7 @@ def test_help_and_usage_errors_match_the_eager_parser(monkeypatch, argv):
     ["--seed", "7", "check", "continuity", "g.json", "--patch", "rest", "--eps", "0.5"],
     ["torus", "plan", "--n", "3", "--from", "0,0,0", "--to", "0.5,0.5,0.5"],
     ["pv", "schedule", "Pa.Va|Pa.Va", "--from", "0,0", "--to", "2,2", "--svg", "x.svg"],
-    ["sphere", "reach", "-n", "1", "--from", "0,0.5", "--to", "1,0.6", "--grid", "32"],
+    ["sphere", "reach", "-n", "1", "--from", "0,0.5", "--to", "1,0.6"],
     ["nathom", "build", "g.json", "--samples", "v:b", "--dot", "--degree", "2"],
 ])
 def test_parsed_arguments_match_the_eager_parser(argv):

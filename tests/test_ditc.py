@@ -5,6 +5,7 @@ import random
 import pytest
 from pytest import approx
 
+from conftest import all_small_graphs
 from ditopo.core import (
     EdgeInterior,
     Reason,
@@ -124,6 +125,36 @@ class TestDitcRegression:
         for g in corpus:
             a, b = ditc(g), ditc(subdivide(g))
             assert (a.lower, a.upper, a.exact) == (b.lower, b.upper, b.exact)
+
+    def test_reversal_invariance(self, corpus):
+        """Reversing every edge gives the opposite directed space, whose
+        bounds are the same."""
+        for g in all_small_graphs(6) + corpus:
+            a = ditc(g)
+            b = ditc(DirectedGraph(g.vertices, [(e.id, e.dst, e.src) for e in g.edges]))
+            assert (a.lower, a.upper, a.exact) == (b.lower, b.upper, b.exact), g
+
+    def test_tiers_at_scale(self):
+        """Large multitrees and a large DAG with many two-path pairs get
+        their tiers; a quadratic pair table would not fit these sizes."""
+        rng = random.Random(27)
+        n = 5000
+        vs = [f"v{i}" for i in range(n)]
+        chain = DirectedGraph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+        tree = []
+        for i in range(1, n):
+            a, b = vs[rng.randrange(i)], vs[i]
+            tree.append((f"e{i}", *((a, b) if rng.random() < 0.5 else (b, a))))
+        m = 2000
+        dag = [(f"p{i}", vs[i], vs[i + 1]) for i in range(m - 1)]
+        for i in range(2 * m):
+            a, b = sorted(rng.sample(range(m), 2))
+            dag.append((f"c{i}", vs[a], vs[b]))
+        unique = {"lower": 1, "upper": 1, "exact": True, "reason": "UniqueTraces"}
+        assert ditc(chain).to_json() == unique
+        assert ditc(DirectedGraph(vs, tree)).to_json() == unique
+        assert ditc(DirectedGraph(vs[:m], dag)).to_json() == {
+            "lower": 2, "upper": 3, "exact": False, "reason": "GeneralThreePatch"}
 
     def test_disconnected_combination(self):
         g = DirectedGraph(

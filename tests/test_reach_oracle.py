@@ -18,8 +18,7 @@ from ditopo.errors import InfiniteTraceSpace
 from ditopo.graph import (
     DirectedGraph,
     GammaOracle,
-    _COUNT_CAP,
-    _tier_info,
+    _multi_paths,
     build_planner,
     gamma,
     is_strongly_connected_dspace,
@@ -87,9 +86,6 @@ def test_tier_facts_match_pairwise_sweeps(scc_graphs):
             assert (v in oracle._cyclic) == ref.on_cycle(v), (g, v)
         strongly = ref.strongly_connected()
         assert is_strongly_connected_dspace(g) == strongly
-        info = _tier_info(g, oracle)
-        acyclic = not any(ref.on_cycle(v) for v in g.vertices)
-        assert (info.acyclic, info.strongly_connected) == (acyclic, strongly)
 
 
 def test_path_counts_match_on_dags():
@@ -104,11 +100,13 @@ def test_path_counts_match_on_dags():
                 if a != b:
                     edges.append((f"e{len(edges)}", vertices[a], vertices[b]))
             g = DirectedGraph(vertices, edges)
-            info = _tier_info(g, gamma(g))
-            assert info.acyclic
-            want = BfsClosure(g).path_counts(_COUNT_CAP)
-            assert info.pair_counts == want
-            assert info.multi_pairs == sorted(p for p, c in want.items() if c >= 2)
+            oracle = gamma(g)
+            assert not oracle._cyclic
+            multi = _multi_paths(g, oracle)
+            got = {(u, v) for u in vertices for v in vertices
+                   if multi[u] & oracle._mask[v]}
+            want = {p for p, c in BfsClosure(g).path_counts(2).items() if c >= 2}
+            assert got == want
             checked += 1
     assert checked == 15
 

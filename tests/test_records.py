@@ -1,6 +1,6 @@
 """The slotted value classes against the dataclasses they replaced.
 
-Each of the 19 classes must keep its constructor signature, defaults and
+Each of the 18 classes must keep its constructor signature, defaults and
 checks, its attribute values and repr, a type-strict ``==`` (never equal to
 a plain tuple or to another class with the same field values), and either
 the hash of its field tuple (frozen classes) or no hash at all (mutable
@@ -21,7 +21,7 @@ from ditopo import core, graph, nathom, pv
 NAMES = {
     core: ("Vertex", "EdgeInterior", "Step", "Patch", "Patchwork", "DiTCReport",
            "SectionCheckReport", "ContinuityReport"),
-    graph: ("Edge", "TraceClassSummary", "_TierInfo"),
+    graph: ("Edge", "TraceClassSummary"),
     nathom: ("NatObject", "NatMorphism", "NatDiagram"),
     pv: ("Action", "PVProgram", "Rect", "ForbiddenRegion", "Schedule"),
 }
@@ -131,8 +131,6 @@ MAKERS = {
     "Edge": lambda ns, rng: ns["Edge"](_name(rng), _name(rng), "c"),
     "TraceClassSummary": lambda ns, rng: ns["TraceClassSummary"](
         rng.choice((0, 1, math.inf)), tuple((_name(rng),) for _ in range(rng.randint(0, 1)))),
-    "_TierInfo": lambda ns, rng: ns["_TierInfo"](
-        rng.random() < 0.5, False, {("a", "b"): rng.randint(1, 2)}, [("a", "b")], True),
     "NatObject": _nat_object,
     "NatMorphism": _nat_morphism,
     "NatDiagram": lambda ns, rng: ns["NatDiagram"](
@@ -177,7 +175,7 @@ def _values(ns) -> list:
 
 def test_every_converted_class_is_covered():
     assert sorted(MAKERS) == sorted(LIBRARY)
-    assert len(LIBRARY) == 19
+    assert len(LIBRARY) == 18
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY))

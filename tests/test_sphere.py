@@ -69,14 +69,14 @@ class TestReachability:
             for x, y in sphere_probe_pairs(n, rng, 200):
                 for grid in (16, 32):
                     want = lattice_sphere_gamma(n, x, y, grid)
-                    assert sphere_gamma(n, x, y, grid) == want, (n, x, y, grid)
+                    assert sphere_gamma(n, x, y) == want, (n, x, y, grid)
 
     def test_off_lattice_pair_keeps_the_lattice_answer(self):
         # (0, 0.01) quantizes to the corner (0, 0), so the lattice search and
         # sphere_gamma both say True; the exact relation says False
         x, y = (0.0, 0.01), (1.0, 0.5)
         for grid in (16, 32):
-            assert sphere_gamma(1, x, y, grid) == lattice_sphere_gamma(1, x, y, grid) is True
+            assert sphere_gamma(1, x, y) == lattice_sphere_gamma(1, x, y, grid) is True
         assert SphereGamma(1).membership(x, y) is False
 
     def test_queries_leave_module_state_unchanged(self):
@@ -91,10 +91,6 @@ class TestReachability:
             n = 1 + i % 3
             sphere_gamma(n, sample_boundary_point(n, rng), sample_boundary_point(n, rng))
         assert sizes() == before
-
-    def test_grid_must_refine_the_quantization(self):
-        with pytest.raises(ValueError):
-            sphere_gamma(1, (0, 0), (1, 1), grid=20)
 
     def test_closed_form_matches_lattice_on_aligned_points(self):
         rng = random.Random(3)
